@@ -55,16 +55,16 @@ int main(int argc, char** argv) {
   // platform/grid5000.cpp ordering).
   constexpr int kVictim = 7;
 
+  using Kind = gc::fault::ProcessFault::Kind;
   gc::workflow::CampaignConfig scenario_a;
-  scenario_a.fault_sed_index = kVictim;
-  scenario_a.fault_at_s = 600.0;  // during part 1
+  scenario_a.process_faults = {{Kind::kSedCrash, kVictim, 600.0}};  // part 1
   const gc::workflow::CampaignResult a =
       gc::workflow::run_grid5000_campaign(scenario_a);
   report("dies before burst", a, baseline.makespan);
 
   gc::workflow::CampaignConfig scenario_b;
-  scenario_b.fault_sed_index = kVictim;
-  scenario_b.fault_at_s = 4511.0 + 2.0 * 3600.0;  // 2h into part 2
+  scenario_b.process_faults = {  // 2h into part 2
+      {Kind::kSedCrash, kVictim, 4511.0 + 2.0 * 3600.0}};
   scenario_b.call_deadline_s = 16.0 * 3600.0;
   scenario_b.max_retries = 2;
   const gc::workflow::CampaignResult b =

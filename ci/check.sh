@@ -97,6 +97,14 @@ PY
 DN=$(./build/examples/zoom_campaign --subsims 22 --digest | grep 'science digest')
 [[ "${DN#*: }" == "f4a58abe6945215d" ]]
 echo "contention-off campaign digest pinned (${DN#*: })"
+# The scripted single-SED crash (--fault-sed/--fault-at) goes through the
+# same process-fault path as fault plans; the campaign must still lose no
+# call and land on the stock digest.
+DF=$(./build/examples/zoom_campaign --subsims 22 --fault-sed 7 --fault-at 600 --digest)
+grep -qF 'failed calls             : 0 (0 resubmissions)' <<<"$DF"
+DF=$(grep 'science digest' <<<"$DF")
+[[ "${DF#*: }" == "f4a58abe6945215d" ]]
+echo "scripted SED crash: 0 failed calls, digest pinned (${DF#*: })"
 
 step "serving smoke (bench_serving --quick + federated digest gate)"
 # Same tripwire philosophy as bench-smoke: the quick sweep sustains ~400
@@ -166,6 +174,16 @@ if command -v clang-tidy >/dev/null 2>&1; then
     src/common/*.cpp src/des/*.cpp
 else
   echo "clang-tidy not installed; skipping (config: .clang-tidy)"
+fi
+
+step "line counts (git ls-files src tests bench)"
+# Tracked across changes: a PR that adds code should say what it deletes.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  for dir in src tests bench; do
+    printf '%-6s %7d lines\n' "$dir" "$(git ls-files -z "$dir" | xargs -0 cat | wc -l)"
+  done
+else
+  echo "not a git checkout; skipping"
 fi
 
 if [[ "$FULL" == "1" ]]; then

@@ -74,9 +74,11 @@ int main(int argc, char** argv) {
   config.machines_per_sed = static_cast<int>(args.get_int("machines", 16));
   config.resolution = static_cast<int>(args.get_int("resolution", 128));
   config.nb_box = static_cast<int>(args.get_int("nbbox", 2));
-  config.fault_sed_index = static_cast<int>(args.get_int("fault-sed", -1));
-  config.fault_at_s = args.get_double("fault-at", 0.0);
-  if (config.fault_sed_index >= 0) {
+  const int fault_sed = static_cast<int>(args.get_int("fault-sed", -1));
+  if (fault_sed >= 0) {
+    config.process_faults.push_back({gc::fault::ProcessFault::Kind::kSedCrash,
+                                     fault_sed,
+                                     args.get_double("fault-at", 0.0)});
     // Survive the injected failure: bound calls and allow resubmission.
     config.call_deadline_s = args.get_double("deadline", 16.0 * 3600.0);
     config.max_retries = static_cast<int>(args.get_int("retries", 2));

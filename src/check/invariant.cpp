@@ -34,19 +34,6 @@ std::uint64_t failure_count() { return g_failures.load(); }
 
 void reset_failure_count() { g_failures.store(0); }
 
-void FifoMonitor::observe(std::uint64_t key, std::uint64_t seq,
-                          const char* file, int line) {
-  auto [it, inserted] = last_.emplace(key, seq);
-  if (inserted) return;
-  if (seq != it->second + 1) {
-    fail(file, line,
-         what_ + ": stream " + std::to_string(key) + " observed seq " +
-             std::to_string(seq) + " after seq " + std::to_string(it->second) +
-             " (FIFO order broken)");
-  }
-  it->second = seq;
-}
-
 void UniqueIds::add(std::uint64_t id, const char* file, int line) {
   if (!live_.insert(id).second) {
     fail(file, line, what_ + ": duplicate live id " + std::to_string(id));

@@ -47,23 +47,6 @@ void fail(const char* file, int line, const std::string& what);
 [[nodiscard]] std::uint64_t failure_count();
 void reset_failure_count();
 
-/// Checks that per-stream sequence numbers are observed in exactly the
-/// order they were issued: observation `seq` on stream `key` must follow
-/// observation `seq - 1` (the first observation of a stream may carry any
-/// seq). Used for per-link FIFO delivery in SimEnv.
-class FifoMonitor {
- public:
-  explicit FifoMonitor(std::string what) : what_(std::move(what)) {}
-
-  void observe(std::uint64_t key, std::uint64_t seq, const char* file,
-               int line);
-  void reset() { last_.clear(); }
-
- private:
-  std::string what_;
-  std::unordered_map<std::uint64_t, std::uint64_t> last_;
-};
-
 /// Checks that ids in a live set are unique: add() of an id already live
 /// is a violation. remove() tolerates unknown ids (callers often erase on
 /// multiple paths).

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "check/invariant.hpp"
+#include "check/statehash.hpp"
 
 namespace gc::diet {
 
@@ -149,25 +150,18 @@ std::int64_t ArgValue::wire_bytes() const {
 }
 
 std::string ArgValue::content_id() const {
-  // FNV-1a over the identifying content.
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  auto mix = [&hash](const void* p, std::size_t n) {
-    const auto* bytes = static_cast<const std::uint8_t*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      hash ^= bytes[i];
-      hash *= 0x100000001b3ULL;
-    }
-  };
-  mix(&desc.type, sizeof desc.type);
+  // FNV-1a over the identifying content, from the canonical offset.
+  check::Fnv hash{0xcbf29ce484222325ULL};
+  hash.bytes(&desc.type, sizeof desc.type);
   if (desc.type == DataType::kFile) {
-    mix(file_path_.data(), file_path_.size());
-    mix(&modeled_bytes_, sizeof modeled_bytes_);
+    hash.bytes(file_path_.data(), file_path_.size());
+    hash.bytes(&modeled_bytes_, sizeof modeled_bytes_);
   } else {
-    mix(data_.data(), data_.size());
+    hash.bytes(data_.data(), data_.size());
   }
   char buffer[32];
   std::snprintf(buffer, sizeof buffer, "d%016llx",
-                static_cast<unsigned long long>(hash));
+                static_cast<unsigned long long>(hash.h));
   return buffer;
 }
 

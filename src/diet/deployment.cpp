@@ -1,6 +1,9 @@
 #include "diet/deployment.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
+#include "fault/injector.hpp"
 #include "sched/policy.hpp"
 
 namespace gc::diet {
@@ -86,6 +89,7 @@ void Federation::init(net::Env& env, naming::Registry& registry,
   GC_CHECK_MSG(!shards.empty(), "a federation needs at least one shard");
   GC_CHECK_MSG(services.size() == shards.size(),
                "one service table per shard");
+  env_ = &env;
   // Assign the disjoint id spaces: SED uids are dense across shards (so a
   // federation-wide SED index maps to a uid exactly like a single
   // deployment's), MA uids count from 1, request keys get the uid in the
@@ -147,6 +151,45 @@ Sed* Federation::sed_by_uid(std::uint64_t uid) {
     if (Sed* sed = shard->sed_by_uid(uid)) return sed;
   }
   return nullptr;
+}
+
+void Federation::arm_faults(const std::vector<fault::ProcessFault>& faults,
+                            fault::Injector* injector) {
+  using Kind = fault::ProcessFault::Kind;
+  for (const fault::ProcessFault& f : faults) {
+    const auto index = static_cast<std::size_t>(f.index);
+    const bool on_la = f.kind == Kind::kLaDeath;
+    GC_CHECK_MSG(f.index >= 0 && index < (on_la ? la_count() : sed_count()),
+                 "process fault index out of range");
+    GC_CHECK_MSG(injector != nullptr ||
+                     (f.kind != Kind::kSedIsolate && f.kind != Kind::kSedHeal),
+                 "isolate/heal faults need an injector");
+    const double delay = std::max(0.0, f.at_s - env_->now());
+    env_->post_after(delay, [this, injector, kind = f.kind, index]() {
+      switch (kind) {
+        case Kind::kSedCrash:
+          GC_WARN << "fault: crashing " << sed(index).name();
+          sed(index).fail();
+          break;
+        case Kind::kSedRestart:
+          GC_WARN << "fault: restarting " << sed(index).name();
+          sed(index).restart();
+          break;
+        case Kind::kLaDeath:
+          GC_WARN << "fault: killing " << la(index).name();
+          la(index).fail();
+          break;
+        case Kind::kSedIsolate:
+          GC_WARN << "fault: isolating " << sed(index).name();
+          injector->isolate(sed(index).node());
+          break;
+        case Kind::kSedHeal:
+          GC_WARN << "fault: healing " << sed(index).name();
+          injector->heal(sed(index).node());
+          break;
+      }
+    });
+  }
 }
 
 }  // namespace gc::diet

@@ -13,8 +13,13 @@
 #include "diet/agent.hpp"
 #include "diet/client.hpp"
 #include "diet/sed.hpp"
+#include "fault/plan.hpp"
 #include "naming/registry.hpp"
 #include "net/env.hpp"
+
+namespace gc::fault {
+class Injector;
+}  // namespace gc::fault
 
 namespace gc::diet {
 
@@ -91,7 +96,8 @@ class Deployment {
 /// Deployment, with every MA pair cross-connected as peers. Shard uid
 /// ranges (SED uids, MA uids, request-key bases) are assigned here so
 /// callers only write per-shard specs; actor names must still be unique
-/// across the whole federation (the shared Registry is flat).
+/// across the whole federation (the shared Registry is flat). The paper's
+/// single hierarchy is a federation of one shard.
 class Federation {
  public:
   Federation(net::Env& env, naming::Registry& registry,
@@ -120,6 +126,15 @@ class Federation {
   [[nodiscard]] Agent& la(std::size_t i);
   [[nodiscard]] Sed* sed_by_uid(std::uint64_t uid);
 
+  /// Arms a process-fault schedule on the flat SED/LA indexes, one env
+  /// timer per fault in vector order, each firing at its `at_s` (or now,
+  /// if that has passed). Crashes, restarts and LA deaths act on the
+  /// actors; isolate/heal cut the SED's node through `injector`, which
+  /// must then be non-null. The federation and injector must outlive the
+  /// timers.
+  void arm_faults(const std::vector<fault::ProcessFault>& faults,
+                  fault::Injector* injector);
+
  private:
   /// Shared constructor body (a delegating constructor would leave the
   /// single-table overload's `shards.size()` read unsequenced against
@@ -128,6 +143,7 @@ class Federation {
             std::vector<ServiceTable*> services,
             std::vector<DeploymentSpec> shards);
 
+  net::Env* env_ = nullptr;
   std::vector<std::unique_ptr<Deployment>> shards_;
 };
 

@@ -1,12 +1,12 @@
 #include "loadgen/serving.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <memory>
 #include <vector>
 
+#include "check/statehash.hpp"
 #include "common/log.hpp"
 #include "common/strings.hpp"
 #include "des/engine.hpp"
@@ -22,28 +22,10 @@ namespace gc::loadgen {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
-  return fnv1a(h, &v, sizeof v);
-}
-
-std::uint64_t fnv_f64(std::uint64_t h, double v) {
-  return fnv_u64(h, std::bit_cast<std::uint64_t>(v));
-}
-
-std::uint64_t fnv_str(std::uint64_t h, const std::string& s) {
-  return fnv1a(h, s.data(), s.size());
+/// Strings enter the digests as raw bytes: no length prefix, unlike
+/// check::Fnv::str().
+void hash_chars(check::Fnv& h, const std::string& s) {
+  h.bytes(s.data(), s.size());
 }
 
 /// The deterministic scalar input of client c's seq-th request.
@@ -198,11 +180,9 @@ ServingReport run_serving(const ServingConfig& config) {
   }
 
   // Shard specs: contiguous pod blocks, the shard's MA on its first pod's
-  // control node. SED nodes are collected shard-major so flat federation
-  // indexes (fault schedules) map back to nodes.
+  // control node.
   std::vector<diet::DeploymentSpec> shards(
       static_cast<std::size_t>(config.mas));
-  std::vector<net::NodeId> sed_nodes_flat;
   for (int s = 0; s < config.mas; ++s) {
     diet::DeploymentSpec& spec = shards[static_cast<std::size_t>(s)];
     spec.ma_name = strformat("MA%d", s + 1);
@@ -235,7 +215,6 @@ ServingReport run_serving(const ServingConfig& config) {
         sed.machines = config.topology.machines_per_sed;
         la.sed_indexes.push_back(static_cast<int>(spec.seds.size()));
         spec.seds.push_back(sed);
-        sed_nodes_flat.push_back(sed.node);
       }
       spec.las.push_back(std::move(la));
     }
@@ -280,43 +259,11 @@ ServingReport run_serving(const ServingConfig& config) {
   // The plan's process-fault schedule, mapped through the federation's
   // flat SED/LA indexes (shard-major, like a single deployment's).
   if (plan.active) {
-    const auto schedule = fault::materialize(
-        plan, static_cast<int>(federation.sed_count()),
-        static_cast<int>(federation.la_count()), config.fault_seed);
-    for (const fault::ProcessFault& f : schedule) {
-      const double delay = std::max(0.0, f.at_s - engine.now());
-      const auto index = static_cast<std::size_t>(f.index);
-      switch (f.kind) {
-        case fault::ProcessFault::Kind::kSedCrash:
-          env.post_after(delay, [&federation, index]() {
-            federation.sed(index).fail();
-          });
-          break;
-        case fault::ProcessFault::Kind::kSedRestart:
-          env.post_after(delay, [&federation, index]() {
-            federation.sed(index).restart();
-          });
-          break;
-        case fault::ProcessFault::Kind::kLaDeath:
-          env.post_after(delay, [&federation, index]() {
-            federation.la(index).fail();
-          });
-          break;
-        case fault::ProcessFault::Kind::kSedIsolate: {
-          const net::NodeId node = sed_nodes_flat.at(index);
-          env.post_after(delay, [&injector, node]() {
-            injector->isolate(node);
-          });
-          break;
-        }
-        case fault::ProcessFault::Kind::kSedHeal: {
-          const net::NodeId node = sed_nodes_flat.at(index);
-          env.post_after(delay,
-                         [&injector, node]() { injector->heal(node); });
-          break;
-        }
-      }
-    }
+    federation.arm_faults(
+        fault::materialize(plan, static_cast<int>(federation.sed_count()),
+                           static_cast<int>(federation.la_count()),
+                           config.fault_seed),
+        injector.get());
   }
 
   ServingReport report;
@@ -340,20 +287,19 @@ ServingReport run_serving(const ServingConfig& config) {
               make_request(profile, a.client, a.seq),
               [&report](const gc::Status& status, diet::Profile& result) {
                 ++report.completed;
-                std::uint64_t h = kFnvOffset;
-                h = fnv_str(h, result.path());
-                h = fnv_u64(h, status.is_ok() ? 1 : 0);
+                check::Fnv h;
+                hash_chars(h, result.path());
+                h.u64(status.is_ok() ? 1 : 0);
                 if (status.is_ok()) {
                   ++report.ok;
                   const auto out =
                       result.arg(1).get_scalar<std::int64_t>();
-                  h = fnv_u64(h, out.is_ok()
-                                     ? static_cast<std::uint64_t>(out.value())
-                                     : 0xdeadULL);
+                  h.u64(out.is_ok() ? static_cast<std::uint64_t>(out.value())
+                                    : 0xdeadULL);
                 } else {
                   ++report.failed;
                 }
-                report.science_digest ^= h;
+                report.science_digest ^= h.h;
               },
               deadline);
         });
@@ -368,23 +314,23 @@ ServingReport run_serving(const ServingConfig& config) {
   double last_complete = -1.0;
   std::vector<double> latencies;
   latencies.reserve(report.ok);
-  std::uint64_t state = kFnvOffset;
+  check::Fnv state;
   std::uint64_t call_digest = 0;
   for (const auto& client : clients) {
     for (const auto& rec : client->records()) {
-      state = fnv_u64(state, rec.id);
-      state = fnv_str(state, rec.service);
-      state = fnv_f64(state, rec.submitted);
-      state = fnv_f64(state, rec.found);
-      state = fnv_f64(state, rec.started);
-      state = fnv_f64(state, rec.completed);
-      state = fnv_u64(state, rec.sed_uid);
-      state = fnv_u64(state, rec.ok ? 1 : 0);
-      std::uint64_t h = kFnvOffset;
-      h = fnv_u64(h, rec.id);
-      h = fnv_str(h, rec.service);
-      h = fnv_u64(h, rec.ok ? 1 : 0);
-      call_digest ^= h;
+      state.u64(rec.id);
+      hash_chars(state, rec.service);
+      state.d(rec.submitted);
+      state.d(rec.found);
+      state.d(rec.started);
+      state.d(rec.completed);
+      state.u64(rec.sed_uid);
+      state.u64(rec.ok ? 1 : 0);
+      check::Fnv h;
+      h.u64(rec.id);
+      hash_chars(h, rec.service);
+      h.u64(rec.ok ? 1 : 0);
+      call_digest ^= h.h;
       if (first_submit < 0.0 || rec.submitted < first_submit) {
         first_submit = rec.submitted;
       }
@@ -413,7 +359,7 @@ ServingReport run_serving(const ServingConfig& config) {
     report.requests_per_sec =
         static_cast<double>(report.ok) / report.makespan_s;
   }
-  report.state_hash = state;
+  report.state_hash = state.h;
   report.events = engine.events_executed();
   for (std::size_t s = 0; s < federation.shard_count(); ++s) {
     const diet::Agent::PeerStats& stats = federation.ma(s).peer_stats();

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/log.hpp"
+#include "common/strings.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -118,7 +119,7 @@ void SimEnv::send(Envelope envelope) {
         bytes_sent_ += wire;
         stream.bytes += wire;
         schedule_delivery(engine_.now() + delay + decision.dup_lag_s,
-                          envelope, stream.src, stream_key, 0);
+                          envelope, stream, 0);
       }
       if (decision.drop) {
         if (obs::tracing()) {
@@ -129,7 +130,7 @@ void SimEnv::send(Envelope envelope) {
         return;
       }
       schedule_delivery(engine_.now() + delay + decision.extra_delay_s,
-                        std::move(envelope), stream.src, stream_key, 0);
+                        std::move(envelope), stream, 0);
       return;
     }
   }
@@ -140,7 +141,6 @@ void SimEnv::send(Envelope envelope) {
       // Out-of-band lane (WAN-engine stripes): its own parallel
       // connection, never serialized behind the stream, never FIFO-checked.
       if (bulk) {
-        const NodeId src = stream.src;
         Route route;
         topology().route(stream.src, stream.dst, route);
         if (envelope.modeled_extra_bytes > 0) {
@@ -152,14 +152,13 @@ void SimEnv::send(Envelope envelope) {
           route = staged;
         }
         flow_->start(route, wire,
-                     [this, stream_key, src,
+                     [this, s = &stream,
                       env = std::move(envelope)](double delivery_at) mutable {
-                       schedule_delivery(delivery_at, std::move(env), src,
-                                         stream_key, 0);
+                       schedule_delivery(delivery_at, std::move(env), *s, 0);
                      });
       } else {
-        schedule_delivery(engine_.now() + delay, std::move(envelope),
-                          stream.src, stream_key, 0);
+        schedule_delivery(engine_.now() + delay, std::move(envelope), stream,
+                          0);
       }
       return;
     }
@@ -171,11 +170,11 @@ void SimEnv::send(Envelope envelope) {
       return;
     }
     if (bulk) {
-      dispatch_bulk(stream, stream_key, std::move(envelope), fifo_seq);
+      dispatch_bulk(stream, std::move(envelope), fifo_seq);
       return;
     }
     // Small control message on an idle stream: closed form, FIFO-clamped.
-    deliver_clamped(stream, stream_key, std::move(envelope), fifo_seq,
+    deliver_clamped(stream, std::move(envelope), fifo_seq,
                     engine_.now() + delay);
     return;
   }
@@ -187,25 +186,23 @@ void SimEnv::send(Envelope envelope) {
   // reorder without ever breaking stream order (see test_schedule_fuzz).
   std::uint64_t fifo_seq = 0;
   if constexpr (check::kEnabled) fifo_seq = ++stream.fifo_seq;
-  deliver_clamped(stream, stream_key, std::move(envelope), fifo_seq,
+  deliver_clamped(stream, std::move(envelope), fifo_seq,
                   engine_.now() + delay);
 }
 
-void SimEnv::deliver_clamped(StreamState& stream, std::uint64_t stream_key,
-                             Envelope envelope, std::uint64_t fifo_seq,
-                             SimTime deliver_at) {
+void SimEnv::deliver_clamped(StreamState& stream, Envelope envelope,
+                             std::uint64_t fifo_seq, SimTime deliver_at) {
   if (stream.clock_valid && deliver_at <= stream.clock) {
     deliver_at = std::nextafter(stream.clock,
                                 std::numeric_limits<SimTime>::infinity());
   }
   stream.clock = deliver_at;
   stream.clock_valid = true;
-  schedule_delivery(deliver_at, std::move(envelope), stream.src, stream_key,
-                    fifo_seq);
+  schedule_delivery(deliver_at, std::move(envelope), stream, fifo_seq);
 }
 
-void SimEnv::dispatch_bulk(StreamState& stream, std::uint64_t stream_key,
-                           Envelope envelope, std::uint64_t fifo_seq) {
+void SimEnv::dispatch_bulk(StreamState& stream, Envelope envelope,
+                           std::uint64_t fifo_seq) {
   stream.busy = true;
   Route route;
   topology().route(stream.src, stream.dst, route);
@@ -221,60 +218,61 @@ void SimEnv::dispatch_bulk(StreamState& stream, std::uint64_t stream_key,
     route = staged;
   }
   const std::int64_t wire = envelope.wire_size();
-  flow_->start(
-      route, wire,
-      [this, stream_key, fifo_seq,
-       env = std::move(envelope)](double delivery_at) mutable {
-        auto it = streams_.find(stream_key);
-        GC_CHECK_MSG(it != streams_.end(), "stream vanished mid-flow");
-        StreamState& s = it->second;
-        deliver_clamped(s, stream_key, std::move(env), fifo_seq, delivery_at);
-        s.busy = false;
-        drain_held(s, stream_key);
-      });
+  flow_->start(route, wire,
+               [this, s = &stream, fifo_seq,
+                env = std::move(envelope)](double delivery_at) mutable {
+                 deliver_clamped(*s, std::move(env), fifo_seq, delivery_at);
+                 s->busy = false;
+                 drain_held(*s);
+               });
 }
 
-void SimEnv::drain_held(StreamState& stream, std::uint64_t stream_key) {
+void SimEnv::drain_held(StreamState& stream) {
   while (!stream.held.empty() && !stream.busy) {
     Envelope env = std::move(stream.held.front().first);
     const std::uint64_t fifo_seq = stream.held.front().second;
     stream.held.pop_front();
     const std::int64_t wire = env.wire_size();
     if (wire >= min_flow_bytes_ && stream.src != stream.dst) {
-      dispatch_bulk(stream, stream_key, std::move(env), fifo_seq);
+      dispatch_bulk(stream, std::move(env), fifo_seq);
     } else {
       const double delay =
           topology().transfer_time(stream.src, stream.dst, wire);
-      deliver_clamped(stream, stream_key, std::move(env), fifo_seq,
-                      engine_.now() + delay);
+      deliver_clamped(stream, std::move(env), fifo_seq, engine_.now() + delay);
     }
   }
 }
 
-void SimEnv::schedule_delivery(SimTime at, Envelope envelope, NodeId src,
-                               std::uint64_t stream_key,
-                               std::uint64_t fifo_seq) {
+void SimEnv::schedule_delivery(SimTime at, Envelope envelope,
+                               StreamState& stream, std::uint64_t fifo_seq) {
   if (obs::tracing()) {
     // The in-flight hop as a span on the source node's network track: the
     // whole transfer, send to delivery, linked to the request's trace.
     obs::Tracer::instance().complete_span(
         engine_.now(), at - engine_.now(),
         "msg:" + std::to_string(envelope.type),
-        "net:n" + std::to_string(src), envelope.trace_id);
+        "net:n" + std::to_string(stream.src), envelope.trace_id);
   }
 
-  // The lambda (Envelope + stream bookkeeping) fits EventFn's inline
-  // buffer, so a message delivery never allocates. The delivery event is
-  // owned by the destination endpoint: its handler mutates that actor's
-  // state, so deliveries to different actors commute (the model checker's
-  // independence relation relies on this).
+  // The lambda (Envelope + stream pointer) fits EventFn's inline buffer,
+  // so a message delivery never allocates. Stream pointers stay valid:
+  // unordered_map nodes are stable and streams_ is never erased. The
+  // delivery event is owned by the destination endpoint: its handler
+  // mutates that actor's state, so deliveries to different actors commute
+  // (the model checker's independence relation relies on this).
   const Endpoint owner = envelope.to;
-  engine_.schedule_at(at, [this, stream_key, fifo_seq,
+  engine_.schedule_at(at, [this, stream = &stream, fifo_seq,
                            env = std::move(envelope)]() {
     if constexpr (check::kEnabled) {
       // Out-of-band deliveries (fault-tampered, fifo_seq 0) are exempt:
       // dropped and duplicated messages break exact succession by design.
-      if (fifo_seq != 0) fifo_.observe(stream_key, fifo_seq, __FILE__, __LINE__);
+      if (fifo_seq != 0) {
+        GC_INVARIANT(fifo_seq == ++stream->delivered_seq,
+                     strformat("simenv stream n%u->n%u delivered seq %llu "
+                               "out of send order (FIFO broken)",
+                               stream->src, stream->dst,
+                               static_cast<unsigned long long>(fifo_seq)));
+      }
     }
     auto it = actors_.find(env.to);
     if (it == actors_.end()) return;  // actor detached in flight

@@ -106,18 +106,17 @@ class SimEnv final : public Env {
 
   Endpoint do_attach(Actor& actor, NodeId node) override;
   /// Schedules one delivery; fifo_seq 0 = out-of-band (no FIFO check).
-  void schedule_delivery(SimTime at, Envelope envelope, NodeId src,
-                         std::uint64_t stream_key, std::uint64_t fifo_seq);
+  void schedule_delivery(SimTime at, Envelope envelope, StreamState& stream,
+                         std::uint64_t fifo_seq);
   /// FIFO-clamps `deliver_at` against the stream clock, advances it, and
   /// schedules the delivery (the tail of the classic send path).
-  void deliver_clamped(StreamState& stream, std::uint64_t stream_key,
-                       Envelope envelope, std::uint64_t fifo_seq,
-                       SimTime deliver_at);
+  void deliver_clamped(StreamState& stream, Envelope envelope,
+                       std::uint64_t fifo_seq, SimTime deliver_at);
   /// Starts envelope as a flow occupying its stream; on completion the
   /// stream un-busies and held messages drain in order.
-  void dispatch_bulk(StreamState& stream, std::uint64_t stream_key,
-                     Envelope envelope, std::uint64_t fifo_seq);
-  void drain_held(StreamState& stream, std::uint64_t stream_key);
+  void dispatch_bulk(StreamState& stream, Envelope envelope,
+                     std::uint64_t fifo_seq);
+  void drain_held(StreamState& stream);
 
   struct Entry {
     Actor* actor;
@@ -138,7 +137,10 @@ class SimEnv final : public Env {
     /// cannot overtake a bulk transfer sent earlier on the same connection.
     SimTime clock = 0.0;
     bool clock_valid = false;
-    std::uint64_t fifo_seq = 0;   ///< send counter (GC_CHECK builds only)
+    /// FIFO check (GC_CHECK builds only): in-stream sends and deliveries
+    /// are counted separately; each delivery must carry the next send seq.
+    std::uint64_t fifo_seq = 0;
+    std::uint64_t delivered_seq = 0;
     std::uint64_t fault_seq = 0;  ///< maintained while a hook is installed
     std::int64_t bytes = 0;       ///< ledger behind bytes_by_node_pair()
     /// Contention mode: a bulk flow is in progress on this stream; later
@@ -158,9 +160,8 @@ class SimEnv final : public Env {
   std::unordered_map<Endpoint, Entry> actors_;
   /// Permanent endpoint -> node ledger; unlike actors_, never erased.
   std::unordered_map<Endpoint, NodeId> nodes_;
+  /// Never erased: deliveries and flows hold StreamState pointers.
   std::unordered_map<std::uint64_t, StreamState> streams_;
-  /// Delivery-order monitor (GC_CHECK builds only).
-  check::FifoMonitor fifo_{"simenv per-stream delivery"};
   FaultHook* fault_hook_ = nullptr;
   std::unique_ptr<FlowModel> flow_;  ///< non-null = contention mode
   std::int64_t min_flow_bytes_ = 4096;

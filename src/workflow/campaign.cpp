@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 
+#include "check/statehash.hpp"
 #include "common/log.hpp"
 #include "common/stats.hpp"
 #include "des/engine.hpp"
@@ -30,28 +31,22 @@ using ScienceTuple = std::array<std::int64_t, 5>;
 /// scheduling, and which attempt of a retried call finally landed.
 std::uint64_t science_digest_of(std::vector<ScienceTuple> tuples) {
   std::sort(tuples.begin(), tuples.end());
-  std::uint64_t h = 14695981039346656037ULL;
-  auto mix = [&h](std::int64_t value) {
-    auto u = static_cast<std::uint64_t>(value);
-    for (int i = 0; i < 8; ++i) {
-      h ^= (u >> (8 * i)) & 0xffULL;
-      h *= 1099511628211ULL;
-    }
-  };
+  check::Fnv h{0xcbf29ce484222325ULL};  // the canonical FNV-1a offset
   for (const ScienceTuple& tuple : tuples) {
-    for (std::int64_t value : tuple) mix(value);
+    for (std::int64_t value : tuple) h.i64(value);
   }
-  return h;
+  return h.h;
 }
 
 /// Splits a single-hierarchy spec into `mas` federation shards: LAs (and
 /// their SEDs) round-robin, every shard MA on the original MA's node.
 /// All shards offer the same services, so the on-miss forwarding default
-/// would never leave the local shard — shards run federate_always.
+/// would never leave the local shard — shards run federate_always (a
+/// no-op for the lone shard of mas = 1, which has no peers).
 std::vector<diet::DeploymentSpec> split_for_federation(
     const diet::DeploymentSpec& spec, int mas) {
-  GC_CHECK_MSG(mas >= 2 && static_cast<std::size_t>(mas) <= spec.las.size(),
-               "federation_mas must be in [2, LA count]");
+  GC_CHECK_MSG(mas >= 1 && static_cast<std::size_t>(mas) <= spec.las.size(),
+               "federation_mas must be in [1, LA count]");
   std::vector<diet::DeploymentSpec> shards(static_cast<std::size_t>(mas));
   for (int s = 0; s < mas; ++s) {
     diet::DeploymentSpec& shard = shards[static_cast<std::size_t>(s)];
@@ -77,40 +72,6 @@ std::vector<diet::DeploymentSpec> split_for_federation(
   }
   return shards;
 }
-
-/// The classic single hierarchy or an N-shard federation behind one
-/// surface, so the campaign body below is identical for both. N=1
-/// constructs exactly the pre-federation Deployment (byte-identical runs).
-struct CampaignHierarchy {
-  std::unique_ptr<diet::Deployment> single;
-  std::unique_ptr<diet::Federation> fed;
-  std::vector<net::NodeId> sed_nodes;  ///< flat order, for isolate/heal
-
-  [[nodiscard]] diet::Agent& ma() {
-    return single ? single->ma() : fed->ma(0);
-  }
-  [[nodiscard]] std::size_t sed_count() const {
-    return single ? single->sed_count() : fed->sed_count();
-  }
-  [[nodiscard]] diet::Sed& sed(std::size_t i) {
-    return single ? single->sed(i) : fed->sed(i);
-  }
-  [[nodiscard]] std::size_t la_count() const {
-    return single ? single->la_count() : fed->la_count();
-  }
-  [[nodiscard]] diet::Agent& la(std::size_t i) {
-    return single ? single->la(i) : fed->la(i);
-  }
-  /// Watchdog firings across every MA (one in the classic shape).
-  [[nodiscard]] std::uint64_t ma_heartbeat_evictions() const {
-    if (single) return single->ma().heartbeat_evictions();
-    std::uint64_t n = 0;
-    for (std::size_t s = 0; s < fed->shard_count(); ++s) {
-      n += fed->ma(s).heartbeat_evictions();
-    }
-    return n;
-  }
-};
 
 }  // namespace
 
@@ -201,26 +162,12 @@ CampaignResult run_grid5000_campaign(const CampaignConfig& config) {
   diet::ServiceTable services;
   GC_CHECK(register_services(services, service_options).is_ok());
 
-  const diet::DeploymentSpec spec = deployment_spec_from_g5k(g5k, cfg);
-  CampaignHierarchy deployment;
-  if (cfg.federation_mas > 1) {
-    auto shard_specs = split_for_federation(spec, cfg.federation_mas);
-    for (const auto& shard : shard_specs) {
-      for (const auto& sed : shard.seds) {
-        deployment.sed_nodes.push_back(sed.node);
-      }
-    }
-    deployment.fed = std::make_unique<diet::Federation>(
-        env, registry, services, std::move(shard_specs));
-  } else {
-    deployment.single =
-        std::make_unique<diet::Deployment>(env, registry, services, spec);
-    for (const auto& sed : spec.seds) {
-      deployment.sed_nodes.push_back(sed.node);
-    }
-  }
+  diet::Federation federation(
+      env, registry, services,
+      split_for_federation(deployment_spec_from_g5k(g5k, cfg),
+                           cfg.federation_mas));
   if (cfg.policy_factory) {
-    deployment.ma().set_policy(cfg.policy_factory());
+    federation.ma(0).set_policy(cfg.policy_factory());
   }
 
   diet::Client::Tuning client_tuning;
@@ -255,72 +202,25 @@ CampaignResult run_grid5000_campaign(const CampaignConfig& config) {
   std::size_t completed = 0;
   bool zoom1_done = false;
 
-  // Scheduled fault: kill one SED mid-campaign (bench A4).
-  if (cfg.fault_sed_index >= 0) {
-    GC_CHECK(static_cast<std::size_t>(cfg.fault_sed_index) <
-             deployment.sed_count());
-    const double delay = std::max(0.0, cfg.fault_at_s - engine.now());
-    env.post_after(delay, [&deployment, &cfg]() {
-      GC_WARN << "fault injection: killing "
-              << deployment.sed(static_cast<std::size_t>(cfg.fault_sed_index))
-                     .name();
-      deployment.sed(static_cast<std::size_t>(cfg.fault_sed_index)).fail();
-    });
-  }
-
-  // The plan's process-fault schedule: crashes, restarts, LA deaths, and
-  // link partitions, all at virtual times drawn in materialize().
+  // Process faults: the scripted ones first, then the plan's schedule
+  // (crashes, restarts, LA deaths, link partitions at virtual times drawn
+  // in materialize()).
+  std::vector<fault::ProcessFault> faults = cfg.process_faults;
   if (plan.active) {
     const auto schedule =
-        fault::materialize(plan, static_cast<int>(deployment.sed_count()),
-                           static_cast<int>(deployment.la_count()),
+        fault::materialize(plan, static_cast<int>(federation.sed_count()),
+                           static_cast<int>(federation.la_count()),
                            cfg.fault_seed);
-    for (const fault::ProcessFault& f : schedule) {
-      const double delay = std::max(0.0, f.at_s - engine.now());
-      const auto index = static_cast<std::size_t>(f.index);
-      switch (f.kind) {
-        case fault::ProcessFault::Kind::kSedCrash:
-          ++result.sed_crashes;
-          env.post_after(delay, [&deployment, index]() {
-            GC_WARN << "fault plan: crashing " << deployment.sed(index).name();
-            deployment.sed(index).fail();
-          });
-          break;
-        case fault::ProcessFault::Kind::kSedRestart:
-          ++result.sed_restarts;
-          env.post_after(delay, [&deployment, index]() {
-            GC_WARN << "fault plan: restarting "
-                    << deployment.sed(index).name();
-            deployment.sed(index).restart();
-          });
-          break;
-        case fault::ProcessFault::Kind::kLaDeath:
-          ++result.la_deaths;
-          env.post_after(delay, [&deployment, index]() {
-            GC_WARN << "fault plan: killing " << deployment.la(index).name();
-            deployment.la(index).fail();
-          });
-          break;
-        case fault::ProcessFault::Kind::kSedIsolate: {
-          ++result.sed_isolations;
-          const net::NodeId node = deployment.sed_nodes.at(index);
-          env.post_after(delay, [&deployment, &injector, index, node]() {
-            GC_WARN << "fault plan: isolating " << deployment.sed(index).name();
-            injector->isolate(node);
-          });
-          break;
-        }
-        case fault::ProcessFault::Kind::kSedHeal: {
-          const net::NodeId node = deployment.sed_nodes.at(index);
-          env.post_after(delay, [&deployment, &injector, index, node]() {
-            GC_WARN << "fault plan: healing " << deployment.sed(index).name();
-            injector->heal(node);
-          });
-          break;
-        }
-      }
-    }
+    faults.insert(faults.end(), schedule.begin(), schedule.end());
   }
+  for (const fault::ProcessFault& f : faults) {
+    using Kind = fault::ProcessFault::Kind;
+    result.sed_crashes += f.kind == Kind::kSedCrash ? 1 : 0;
+    result.sed_restarts += f.kind == Kind::kSedRestart ? 1 : 0;
+    result.la_deaths += f.kind == Kind::kLaDeath ? 1 : 0;
+    result.sed_isolations += f.kind == Kind::kSedIsolate ? 1 : 0;
+  }
+  federation.arm_faults(faults, injector.get());
 
   // Part 2: issued all at once when part 1 completes; failed calls are
   // resubmitted up to cfg.max_retries times each.
@@ -460,8 +360,8 @@ CampaignResult run_grid5000_campaign(const CampaignConfig& config) {
   double last_completed = result.zoom1.completed;
   double sequential = 0.0;
 
-  for (std::size_t i = 0; i < deployment.sed_count(); ++i) {
-    const diet::Sed& sed = deployment.sed(i);
+  for (std::size_t i = 0; i < federation.sed_count(); ++i) {
+    const diet::Sed& sed = federation.sed(i);
     SedSummary summary;
     summary.name = sed.name();
     const platform::SedPlacement& placement = g5k.seds[i];
@@ -519,17 +419,14 @@ CampaignResult run_grid5000_campaign(const CampaignConfig& config) {
     result.messages_duplicated = injector->stats().duplicated.load();
     result.messages_delayed = injector->stats().delayed.load();
   }
-  result.heartbeat_evictions = deployment.ma_heartbeat_evictions();
-  for (std::size_t i = 0; i < deployment.la_count(); ++i) {
-    result.heartbeat_evictions += deployment.la(i).heartbeat_evictions();
+  for (std::size_t s = 0; s < federation.shard_count(); ++s) {
+    diet::Agent& ma = federation.ma(s);
+    result.heartbeat_evictions += ma.heartbeat_evictions();
+    result.federation_forwards += ma.peer_stats().forwards;
+    result.federation_replies += ma.peer_stats().replies;
   }
-  if (deployment.fed) {
-    for (std::size_t s = 0; s < deployment.fed->shard_count(); ++s) {
-      const diet::Agent::PeerStats& stats =
-          deployment.fed->ma(s).peer_stats();
-      result.federation_forwards += stats.forwards;
-      result.federation_replies += stats.replies;
-    }
+  for (std::size_t i = 0; i < federation.la_count(); ++i) {
+    result.heartbeat_evictions += federation.la(i).heartbeat_evictions();
   }
 
   // Campaign phases as spans (timestamps reconstructed from the records,

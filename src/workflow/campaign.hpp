@@ -18,6 +18,7 @@
 
 #include "diet/client.hpp"
 #include "diet/deployment.hpp"
+#include "fault/plan.hpp"
 #include "platform/grid5000.hpp"
 #include "sched/policy.hpp"
 #include "workflow/services.hpp"
@@ -43,11 +44,11 @@ struct CampaignConfig {
   diet::AgentTuning agent_tuning; ///< calibrated defaults
   diet::SedTuning sed_tuning;
 
-  /// Fault injection: kill SED `fault_sed_index` (deployment order) at
-  /// virtual time `fault_at_s`. -1 disables. Combine with a call deadline
-  /// and retries to exercise the middleware's failure handling (bench A4).
-  int fault_sed_index = -1;
-  double fault_at_s = 0.0;
+  /// Scripted process faults on the deployment's flat SED/LA indexes,
+  /// armed ahead of any fault plan's schedule (isolate/heal need an active
+  /// plan's injector). Combine a SED crash with a call deadline and
+  /// retries to exercise the middleware's failure handling (bench A4).
+  std::vector<fault::ProcessFault> process_faults;
   /// Per-zoom2-call deadline in virtual seconds (0 = unbounded).
   double call_deadline_s = 0.0;
   /// Resubmissions allowed per failed zoom2 call.
@@ -67,7 +68,7 @@ struct CampaignConfig {
   /// When active, the plan's tolerance knobs (client retries, heartbeats)
   /// override the tunings above, the net layer tampers with messages, and
   /// the plan's process-fault schedule is materialized over the
-  /// deployment. (fault_sed_index above is the older single-SED bench.)
+  /// deployment after `process_faults`.
   std::string fault_plan;
   /// Seed for every fault decision (message tampering, victim selection,
   /// fault times). Same plan + same seed = bit-identical chaos run.
@@ -92,11 +93,12 @@ struct CampaignConfig {
   /// long-fat-network effect striped transfers exist to beat.
   double wan_per_stream_bps = 0.0;
 
-  /// Number of federated MA hierarchies. 1 (the default) builds the exact
-  /// pre-federation single hierarchy; N > 1 splits the deployment's LAs
-  /// round-robin into N shards whose MAs peer in a full mesh (with
-  /// federate_always, since every shard offers the same services). The
-  /// client still talks to MA1; the science digest must not depend on N.
+  /// Number of federated MA hierarchies. 1 (the default) is the paper's
+  /// single hierarchy, a federation of one shard; N > 1 splits the
+  /// deployment's LAs round-robin into N shards whose MAs peer in a full
+  /// mesh (with federate_always, since every shard offers the same
+  /// services). The client still talks to MA1; the science digest must not
+  /// depend on N.
   int federation_mas = 1;
 };
 
@@ -134,7 +136,8 @@ struct CampaignResult {
   /// scientifically correct iff this matches the fault-free run's digest.
   std::uint64_t science_digest = 0;
 
-  // Chaos-run accounting (all zero when no fault plan is active).
+  // Chaos-run accounting. Message counts are zero without a fault plan;
+  // process-fault counts cover `process_faults` and the plan's schedule.
   std::uint64_t messages_dropped = 0;
   std::uint64_t messages_duplicated = 0;
   std::uint64_t messages_delayed = 0;

@@ -70,28 +70,6 @@ TEST(Invariant, MacroReportsOnlyOnFalse) {
   EXPECT_TRUE(capture.saw("seeded violation"));
 }
 
-// ---------- FifoMonitor ----------
-
-TEST(Invariant, FifoMonitorAcceptsInOrderStreams) {
-  Capture capture;
-  check::FifoMonitor fifo("test");
-  for (std::uint64_t seq = 1; seq <= 5; ++seq) {
-    fifo.observe(7, seq, __FILE__, __LINE__);
-  }
-  fifo.observe(8, 100, __FILE__, __LINE__);  // new stream, any start
-  fifo.observe(8, 101, __FILE__, __LINE__);
-  EXPECT_EQ(capture.count(), 0u);
-}
-
-TEST(Invariant, FifoMonitorCatchesReordering) {
-  Capture capture;
-  check::FifoMonitor fifo("test");
-  fifo.observe(7, 1, __FILE__, __LINE__);
-  fifo.observe(7, 3, __FILE__, __LINE__);  // 2 overtaken
-  EXPECT_EQ(capture.count(), 1u);
-  EXPECT_TRUE(capture.saw("FIFO"));
-}
-
 // ---------- UniqueIds ----------
 
 TEST(Invariant, UniqueIdsCatchesDuplicateAdd) {

@@ -374,9 +374,11 @@ TEST(Federation, DiamondPathsCollectOnce) {
   EXPECT_EQ(loop_drops, 0u);
 }
 
-/// Swallows anything sent to it; the return address for forged messages.
+/// Swallows (and counts) anything sent to it: the return address for
+/// forged messages, or a probe for whether a node is cut off.
 struct Sink final : net::Actor {
-  void on_message(const net::Envelope&) override {}
+  void on_message(const net::Envelope&) override { ++received; }
+  int received = 0;
 };
 
 TEST(Federation, ForwardLoopedBackToOriginIsDropped) {
@@ -454,6 +456,53 @@ TEST(Federation, PeerDeathEjectsShardAndRevivalRejoins) {
   injector.heal(ma2_node);
   fix.engine.run_until(fix.engine.now() + 5.0);
   EXPECT_EQ(fix.call_twice(*client, "rare", 3), 6);
+}
+
+// ---------- process faults on flat indexes ----------
+
+TEST(Federation, ArmFaultsResolvesFlatIndexesInsideShards) {
+  // Two shards of two SEDs: flat SEDs 2 and 3 and flat LA 1 are shard 2's.
+  FedFixture fix({{"work"}, {"work"}},
+                 fed_tuning(/*ttl=*/1, /*top_k=*/4, /*always=*/false),
+                 /*seds_per_shard=*/2);
+  const auto plan =
+      fault::parse_plan("drop-only,drop=0,dup=0,delay=0").value();
+  fault::Injector injector(plan, 1);
+  fix.env.set_fault_hook(&injector);
+
+  using Kind = fault::ProcessFault::Kind;
+  const double t0 = fix.engine.now();
+  fix.federation->arm_faults({{Kind::kSedCrash, 2, t0 + 1.0},
+                              {Kind::kSedRestart, 2, t0 + 2.0},
+                              {Kind::kLaDeath, 1, t0 + 1.0},
+                              {Kind::kSedIsolate, 3, t0 + 1.0}},
+                             &injector);
+  fix.engine.run_until(t0 + 1.5);
+  diet::Deployment& shard1 = fix.federation->shard(0);
+  diet::Deployment& shard2 = fix.federation->shard(1);
+  EXPECT_TRUE(shard2.sed(0).failed());
+  EXPECT_TRUE(shard2.la(0).failed());
+  // Isolation is a link cut, not a crash; shard 1 is untouched.
+  EXPECT_FALSE(shard2.sed(1).failed());
+  EXPECT_FALSE(shard1.sed(0).failed());
+  EXPECT_FALSE(shard1.sed(1).failed());
+  EXPECT_FALSE(shard1.la(0).failed());
+
+  // The isolate hit flat SED 3's node: a probe there hears nothing, while
+  // one on flat SED 2's node does.
+  Sink far;
+  Sink on_sed2;
+  Sink on_sed3;
+  fix.env.attach(far, 91);
+  fix.env.attach(on_sed2, shard2.sed(0).node());
+  fix.env.attach(on_sed3, shard2.sed(1).node());
+  fix.env.send(net::Envelope{far.endpoint(), on_sed2.endpoint(), 1, {}, 0});
+  fix.env.send(net::Envelope{far.endpoint(), on_sed3.endpoint(), 1, {}, 0});
+  fix.engine.run_until(t0 + 2.5);
+  EXPECT_EQ(on_sed2.received, 1);
+  EXPECT_EQ(on_sed3.received, 0);
+  // The restart brought flat SED 2 back.
+  EXPECT_FALSE(shard2.sed(0).failed());
 }
 
 // ---------- persistent data across federation edges ----------

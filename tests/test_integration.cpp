@@ -164,8 +164,8 @@ TEST(Integration, MoreMachinesPerSedShortenJobs) {
 
 TEST(Integration, FaultBeforeBurstEvictsAndCompletes) {
   CampaignConfig config = small_config();
-  config.fault_sed_index = 7;  // a Toulouse SED
-  config.fault_at_s = 600.0;   // dies during part 1
+  config.process_faults = {  // a Toulouse SED dies during part 1
+      {fault::ProcessFault::Kind::kSedCrash, 7, 600.0}};
   const CampaignResult result = run_grid5000_campaign(config);
   EXPECT_EQ(result.failed_calls, 0u);
   EXPECT_EQ(result.resubmissions, 0u);
@@ -179,8 +179,8 @@ TEST(Integration, FaultBeforeBurstEvictsAndCompletes) {
 
 TEST(Integration, FaultMidBurstRecoversWithRetries) {
   CampaignConfig config = small_config();
-  config.fault_sed_index = 7;
-  config.fault_at_s = 4511.0 + 1800.0;  // 30 min into part 2
+  config.process_faults = {  // 30 min into part 2
+      {fault::ProcessFault::Kind::kSedCrash, 7, 4511.0 + 1800.0}};
   config.call_deadline_s = 6.0 * 3600.0;
   config.max_retries = 2;
   const CampaignResult result = run_grid5000_campaign(config);

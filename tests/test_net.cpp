@@ -3,6 +3,7 @@
 
 #include <atomic>
 
+#include "check/invariant.hpp"
 #include "common/rng.hpp"
 #include "des/engine.hpp"
 #include "net/codec.hpp"
@@ -207,6 +208,7 @@ TEST(SimEnv, StreamIsFifoPerEndpointPair) {
   Echo b;
   env.attach(a, 0);
   env.attach(b, 1);
+  const std::uint64_t failures_before = check::failure_count();
   env.send(Envelope{a.endpoint(), b.endpoint(), 1, Bytes(1000000), 0});
   env.send(Envelope{a.endpoint(), b.endpoint(), 2, {}, 0});
   engine.run();
@@ -214,6 +216,8 @@ TEST(SimEnv, StreamIsFifoPerEndpointPair) {
   EXPECT_EQ(b.received[0].type, 1u);
   EXPECT_EQ(b.received[1].type, 2u);
   EXPECT_GE(b.received_at[1], b.received_at[0]);
+  // The per-stream delivery counter (GC_CHECK builds) saw exact succession.
+  EXPECT_EQ(check::failure_count(), failures_before);
 }
 
 TEST(SimEnv, DistinctPairsStillOverlap) {
