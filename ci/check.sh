@@ -20,6 +20,18 @@ step "configure + build (default preset, -Werror)"
 cmake --preset default
 cmake --build --preset default -j "$(nproc)"
 
+step "no __muldc3 in the numerics libraries"
+# std::complex operator* keeps a call to the C99 Annex G NaN-recovery
+# routine behind every product; the FFT, GRAFIC and PM code multiply with
+# math::mul (src/math/fft.hpp) instead. Fail if the slow path comes back.
+for lib in math grafic ramses; do
+  if nm -u "build/src/libgc_${lib}.a" | grep '__muldc3' > /dev/null; then
+    echo "libgc_${lib}.a calls __muldc3: use math::mul for complex products" >&2
+    exit 1
+  fi
+done
+echo "libgc_math.a, libgc_grafic.a, libgc_ramses.a: no __muldc3"
+
 step "unit tests"
 ctest --preset default --output-on-failure -j "$(nproc)"
 

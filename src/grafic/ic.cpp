@@ -121,10 +121,11 @@ std::array<std::vector<float>, 3> second_order_displacement(
                 const double k2 = kij2 + kl * kl;
                 const double kk[3] = {ki, kj, kl};
                 crow[l] = k2 > 0.0
-                              ? math::Complex(
-                                    0.0,
-                                    -kk[static_cast<size_t>(axis)] / k2) *
-                                    srow[l]
+                              ? math::mul(
+                                    math::Complex(
+                                        0.0,
+                                        -kk[static_cast<size_t>(axis)] / k2),
+                                    srow[l])
                               : math::Complex(0.0, 0.0);
               }
             }
@@ -288,7 +289,8 @@ IcLevel Generator::build_level(int level_index, int n, double box_mpc,
                   prow[l] = 0.0;
                 } else {
                   // i * k / k^2 * delta_k
-                  prow[l] = math::Complex(0.0, kv[axis] / k2) * drow[l];
+                  prow[l] =
+                      math::mul(math::Complex(0.0, kv[axis] / k2), drow[l]);
                 }
               }
             }

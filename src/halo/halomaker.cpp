@@ -72,19 +72,37 @@ HaloCatalog find_halos(const ParticleView& particles, double aexp,
   const double ll2 = ll * ll;
 
   // Linked cells: cell size >= ll so friends live in the 27-neighborhood.
+  // One flat counting-sort table: cell c holds slots [start[c], start[c+1])
+  // in ascending particle order, and the positions are copied into slot
+  // order so the pair sweep streams contiguous memory.
   const auto ncell = std::max<std::size_t>(
       1, std::min<std::size_t>(256, static_cast<std::size_t>(1.0 / ll)));
   const double ncd = static_cast<double>(ncell);
-  std::vector<std::vector<std::uint32_t>> cells(ncell * ncell * ncell);
+  const std::size_t ncells3 = ncell * ncell * ncell;
   auto cell_index = [&](double x, double y, double z) {
     auto i = std::min(static_cast<std::size_t>(x * ncd), ncell - 1);
     auto j = std::min(static_cast<std::size_t>(y * ncd), ncell - 1);
     auto k = std::min(static_cast<std::size_t>(z * ncd), ncell - 1);
-    return (i * ncell + j) * ncell + k;
+    return static_cast<std::uint32_t>((i * ncell + j) * ncell + k);
   };
+  std::vector<std::uint32_t> cell_of(n);
+  std::vector<std::uint32_t> start(ncells3 + 1, 0);
   for (std::size_t p = 0; p < n; ++p) {
-    cells[cell_index((*particles.x)[p], (*particles.y)[p], (*particles.z)[p])]
-        .push_back(static_cast<std::uint32_t>(p));
+    cell_of[p] = cell_index((*particles.x)[p], (*particles.y)[p],
+                            (*particles.z)[p]);
+    ++start[cell_of[p]];
+  }
+  // Running sum to cell ends, then fill backwards so each end walks down
+  // to its cell's start and members stay in ascending particle order.
+  for (std::size_t c = 1; c <= ncells3; ++c) start[c] += start[c - 1];
+  std::vector<std::uint32_t> slot_particle(n);
+  std::vector<double> sx(n), sy(n), sz(n);
+  for (std::size_t p = n; p-- > 0;) {
+    const std::uint32_t slot = --start[cell_of[p]];
+    slot_particle[slot] = static_cast<std::uint32_t>(p);
+    sx[slot] = (*particles.x)[p];
+    sy[slot] = (*particles.y)[p];
+    sz[slot] = (*particles.z)[p];
   }
 
   // Pair sweep over fixed ranges of the flat cell index, each range
@@ -93,12 +111,12 @@ HaloCatalog find_halos(const ParticleView& particles, double aexp,
   // the transitive closure of the pair relation, so the result is
   // independent of how cells are chunked or interleaved across threads.
   const long nc = static_cast<long>(ncell);
-  const std::size_t ncells3 = ncell * ncell * ncell;
   auto sweep_cells = [&](DisjointSets& sets, std::size_t cell_begin,
                          std::size_t cell_end) {
     for (std::size_t cell = cell_begin; cell < cell_end; ++cell) {
-      const auto& home = cells[cell];
-      if (home.empty()) continue;
+      const std::uint32_t home_begin = start[cell];
+      const std::uint32_t home_end = start[cell + 1];
+      if (home_begin == home_end) continue;
       const long ci = static_cast<long>(cell / (ncell * ncell));
       const long cj = static_cast<long>((cell / ncell) % ncell);
       const long ck = static_cast<long>(cell % ncell);
@@ -114,20 +132,21 @@ HaloCatalog find_halos(const ParticleView& particles, double aexp,
             ((cj + off[1]) % nc + nc) % nc);
         const std::size_t nk = static_cast<std::size_t>(
             ((ck + off[2]) % nc + nc) % nc);
-        const auto& other = cells[(ni * ncell + nj) * ncell + nk];
+        const std::size_t other = (ni * ncell + nj) * ncell + nk;
+        const std::uint32_t other_end = start[other + 1];
         const bool same = off[0] == 0 && off[1] == 0 && off[2] == 0;
-        for (std::size_t ai = 0; ai < home.size(); ++ai) {
-          const std::uint32_t a = home[ai];
-          const std::size_t b_begin = same ? ai + 1 : 0;
-          for (std::size_t bi = b_begin; bi < other.size(); ++bi) {
-            const std::uint32_t b = other[bi];
-            const double dx =
-                periodic_delta((*particles.x)[a], (*particles.x)[b]);
-            const double dy =
-                periodic_delta((*particles.y)[a], (*particles.y)[b]);
-            const double dz =
-                periodic_delta((*particles.z)[a], (*particles.z)[b]);
-            if (dx * dx + dy * dy + dz * dz <= ll2) sets.unite(a, b);
+        for (std::uint32_t a = home_begin; a < home_end; ++a) {
+          const double ax = sx[a];
+          const double ay = sy[a];
+          const double az = sz[a];
+          for (std::uint32_t b = same ? a + 1 : start[other]; b < other_end;
+               ++b) {
+            const double dx = periodic_delta(ax, sx[b]);
+            const double dy = periodic_delta(ay, sy[b]);
+            const double dz = periodic_delta(az, sz[b]);
+            if (dx * dx + dy * dy + dz * dz <= ll2) {
+              sets.unite(slot_particle[a], slot_particle[b]);
+            }
           }
         }
       }

@@ -14,16 +14,21 @@ namespace gc::math {
 
 using Complex = std::complex<double>;
 
+/// Complex product as four products and two sums, in this order. This is
+/// the arithmetic of std::complex operator* on finite values, without the
+/// C99 Annex G NaN-recovery call (__muldc3) GCC emits behind it. Keep all
+/// four products: folding a known-zero part away flips signed zeros.
+inline Complex mul(const Complex& a, const Complex& b) {
+  return Complex(a.real() * b.real() - a.imag() * b.imag(),
+                 a.real() * b.imag() + a.imag() * b.real());
+}
+
 /// True iff n is a power of two (and > 0).
 constexpr bool is_pow2(std::size_t n) { return n > 0 && (n & (n - 1)) == 0; }
 
 /// In-place 1D FFT. `inverse` applies the conjugate transform and divides
 /// by N, so fft(fft(x), inverse=true) == x up to rounding.
 void fft(std::vector<Complex>& data, bool inverse);
-
-/// In-place 1D FFT on a strided view (used by the 3D transform).
-void fft_strided(Complex* data, std::size_t n, std::size_t stride,
-                 bool inverse);
 
 /// In-place 3D FFT on an n0*n1*n2 row-major array (index = (i0*n1+i1)*n2+i2).
 /// All dimensions must be powers of two.

@@ -1,5 +1,6 @@
 #include "ramses/pm.hpp"
 
+#include <array>
 #include <cmath>
 
 #include "common/log.hpp"
@@ -19,6 +20,18 @@ constexpr std::size_t kDepositGrain = 16384;
 /// writes, so chunking cannot affect the result).
 constexpr std::size_t kParticleGrain = 8192;
 
+/// Mesh indices first, first+1, ... wrapped onto [0, n) the way
+/// Grid3::atp wraps them. The CIC loops wrap each particle's stencil once
+/// with this instead of paying two modulos per axis on every lookup.
+template <std::size_t N>
+std::array<long, N> wrapped_run(long first, long n) {
+  std::array<long, N> out;
+  for (std::size_t o = 0; o < N; ++o) {
+    out[o] = ((first + static_cast<long>(o)) % n + n) % n;
+  }
+  return out;
+}
+
 }  // namespace
 
 math::Grid3<double> cic_deposit(const ParticleSet& particles, int n) {
@@ -36,8 +49,10 @@ math::Grid3<double> cic_deposit(const ParticleSet& particles, int n) {
   // reduce the grids cell-by-cell in ascending chunk order. Within a chunk
   // particles deposit in index order, so the full floating-point reduction
   // tree is a function of the particle count alone.
+  const auto nl = static_cast<long>(n);
   auto deposit_range = [&](math::Grid3<double>& grid, std::size_t begin,
                            std::size_t end) {
+    double* g = grid.raw().data();
     for (std::size_t p = begin; p < end; ++p) {
       // Cell-centred CIC: the particle shares mass with the 8 nearest cell
       // centres.
@@ -51,13 +66,16 @@ math::Grid3<double> cic_deposit(const ParticleSet& particles, int n) {
       const double fy = gy - static_cast<double>(j0);
       const double fz = gz - static_cast<double>(k0);
       const double m = particles.mass[p] * cell_mass_unit;
+      const auto wi = wrapped_run<2>(i0, nl);
+      const auto wj = wrapped_run<2>(j0, nl);
+      const auto wk = wrapped_run<2>(k0, nl);
       for (int di = 0; di <= 1; ++di) {
         const double wx = di ? fx : 1.0 - fx;
         for (int dj = 0; dj <= 1; ++dj) {
           const double wy = dj ? fy : 1.0 - fy;
           for (int dk = 0; dk <= 1; ++dk) {
             const double wz = dk ? fz : 1.0 - fz;
-            grid.atp(i0 + di, j0 + dj, k0 + dk) += m * wx * wy * wz;
+            g[(wi[di] * nl + wj[dj]) * nl + wk[dk]] += m * wx * wy * wz;
           }
         }
       }
@@ -158,9 +176,16 @@ std::array<std::vector<double>, 3> interpolate_forces(
   for (auto& a : acc) a.assign(particles.size(), 0.0);
 
   // Pure gather: reads phi, writes acc[axis][p] — disjoint per particle.
+  // The 8 CIC corners and their central differences touch mesh indices
+  // i0-1 .. i0+2 on each axis. Each sum starts at 0.0 and subtracts the
+  // same terms in the same order as accumulating into acc[axis][p] would.
+  const double* g = phi.raw().data();
   parallel::parallel_for(
       0, particles.size(), kParticleGrain,
       [&](std::size_t begin, std::size_t end) {
+        auto at = [g, n](long i, long j, long k) {
+          return g[(i * n + j) * n + k];
+        };
         for (std::size_t p = begin; p < end; ++p) {
           const double gx = particles.x[p] * nd - 0.5;
           const double gy = particles.y[p] * nd - 0.5;
@@ -171,6 +196,10 @@ std::array<std::vector<double>, 3> interpolate_forces(
           const double fx = gx - static_cast<double>(i0);
           const double fy = gy - static_cast<double>(j0);
           const double fz = gz - static_cast<double>(k0);
+          const auto wi = wrapped_run<4>(i0 - 1, n);
+          const auto wj = wrapped_run<4>(j0 - 1, n);
+          const auto wk = wrapped_run<4>(k0 - 1, n);
+          double ax = 0.0, ay = 0.0, az = 0.0;
           for (int di = 0; di <= 1; ++di) {
             const double wx = di ? fx : 1.0 - fx;
             for (int dj = 0; dj <= 1; ++dj) {
@@ -178,19 +207,19 @@ std::array<std::vector<double>, 3> interpolate_forces(
               for (int dk = 0; dk <= 1; ++dk) {
                 const double wz = dk ? fz : 1.0 - fz;
                 const double w = wx * wy * wz;
-                const long i = i0 + di;
-                const long j = j0 + dj;
-                const long k = k0 + dk;
+                const long i = wi[di + 1];
+                const long j = wj[dj + 1];
+                const long k = wk[dk + 1];
                 // -grad(phi), central differences on the periodic mesh.
-                acc[0][p] -=
-                    w * (phi.atp(i + 1, j, k) - phi.atp(i - 1, j, k)) * inv_2h;
-                acc[1][p] -=
-                    w * (phi.atp(i, j + 1, k) - phi.atp(i, j - 1, k)) * inv_2h;
-                acc[2][p] -=
-                    w * (phi.atp(i, j, k + 1) - phi.atp(i, j, k - 1)) * inv_2h;
+                ax -= w * (at(wi[di + 2], j, k) - at(wi[di], j, k)) * inv_2h;
+                ay -= w * (at(i, wj[dj + 2], k) - at(i, wj[dj], k)) * inv_2h;
+                az -= w * (at(i, j, wk[dk + 2]) - at(i, j, wk[dk])) * inv_2h;
               }
             }
           }
+          acc[0][p] = ax;
+          acc[1][p] = ay;
+          acc[2][p] = az;
         }
       });
   return acc;

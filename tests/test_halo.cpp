@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "halo/halomaker.hpp"
 #include "halo/overdensity.hpp"
+#include "parallel/pool.hpp"
 
 namespace gc::halo {
 namespace {
@@ -305,6 +306,175 @@ TEST(HaloMaker, ScalesToManyParticles) {
       find_halos(p.view(), 1.0, 100.0, FofOptions{0.12, 50});
   EXPECT_GE(catalog.halos.size(), 8u);
   EXPECT_LE(catalog.halos.size(), 12u);
+}
+
+// ---------- brute-force oracle ----------
+
+double reference_delta(double a, double b) {
+  double d = a - b;
+  if (d > 0.5) d -= 1.0;
+  if (d < -0.5) d += 1.0;
+  return d;
+}
+
+/// FoF with no cell table: an O(n^2) union over every periodic pair within
+/// the linking length, then the catalog fields computed member by member in
+/// ascending particle order, groups numbered by their lowest member.
+HaloCatalog reference_find_halos(const Particles& p,
+                                 const FofOptions& options) {
+  const std::size_t n = p.x.size();
+  HaloCatalog catalog;
+  catalog.aexp = 1.0;
+  catalog.box_mpc = 100.0;
+  catalog.total_particles = n;
+  if (n == 0) return catalog;
+  const double ll = options.linking_factor / std::cbrt(static_cast<double>(n));
+  std::vector<std::size_t> parent(n);
+  for (std::size_t i = 0; i < n; ++i) parent[i] = i;
+  auto find = [&](std::size_t v) {
+    while (parent[v] != v) v = parent[v];
+    return v;
+  };
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = a + 1; b < n; ++b) {
+      const double dx = reference_delta(p.x[a], p.x[b]);
+      const double dy = reference_delta(p.y[a], p.y[b]);
+      const double dz = reference_delta(p.z[a], p.z[b]);
+      if (dx * dx + dy * dy + dz * dz <= ll * ll) parent[find(a)] = find(b);
+    }
+  }
+  std::vector<std::vector<std::size_t>> groups;
+  std::vector<std::size_t> group_of(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t root = find(i);
+    if (group_of[root] == n) {
+      group_of[root] = groups.size();
+      groups.emplace_back();
+    }
+    groups[group_of[root]].push_back(i);
+  }
+  for (const auto& members : groups) {
+    if (members.size() < options.min_npart) continue;
+    Halo h;
+    h.npart = members.size();
+    const std::size_t first = members[0];
+    double cx = 0.0, cy = 0.0, cz = 0.0;
+    for (const std::size_t i : members) {
+      h.mass += p.mass[i];
+      cx += p.mass[i] * reference_delta(p.x[i], p.x[first]);
+      cy += p.mass[i] * reference_delta(p.y[i], p.y[first]);
+      cz += p.mass[i] * reference_delta(p.z[i], p.z[first]);
+      h.vx += p.mass[i] * p.vx[i];
+      h.vy += p.mass[i] * p.vy[i];
+      h.vz += p.mass[i] * p.vz[i];
+    }
+    auto wrap = [](double v) { return v - std::floor(v); };
+    h.x = wrap(p.x[first] + cx / h.mass);
+    h.y = wrap(p.y[first] + cy / h.mass);
+    h.z = wrap(p.z[first] + cz / h.mass);
+    h.vx /= h.mass;
+    h.vy /= h.mass;
+    h.vz /= h.mass;
+    double r2 = 0.0, v2 = 0.0;
+    for (const std::size_t i : members) {
+      const double dx = reference_delta(p.x[i], h.x);
+      const double dy = reference_delta(p.y[i], h.y);
+      const double dz = reference_delta(p.z[i], h.z);
+      r2 += dx * dx + dy * dy + dz * dz;
+      const double ux = p.vx[i] - h.vx;
+      const double uy = p.vy[i] - h.vy;
+      const double uz = p.vz[i] - h.vz;
+      v2 += ux * ux + uy * uy + uz * uz;
+    }
+    h.r_rms = std::sqrt(r2 / static_cast<double>(h.npart));
+    h.sigma_v = std::sqrt(v2 / (3.0 * static_cast<double>(h.npart)));
+    for (const std::size_t i : members) h.members.push_back(p.id[i]);
+    catalog.halos.push_back(std::move(h));
+  }
+  std::sort(catalog.halos.begin(), catalog.halos.end(),
+            [](const Halo& a, const Halo& b) { return a.mass > b.mass; });
+  for (std::size_t i = 0; i < catalog.halos.size(); ++i) {
+    catalog.halos[i].id = i + 1;
+  }
+  return catalog;
+}
+
+void expect_same_catalog(const HaloCatalog& got, const HaloCatalog& want,
+                         const std::string& what) {
+  EXPECT_EQ(got.total_particles, want.total_particles) << what;
+  ASSERT_EQ(got.halos.size(), want.halos.size()) << what;
+  for (std::size_t h = 0; h < got.halos.size(); ++h) {
+    const Halo& a = got.halos[h];
+    const Halo& b = want.halos[h];
+    EXPECT_EQ(a.id, b.id) << what << " halo " << h;
+    EXPECT_EQ(a.npart, b.npart) << what << " halo " << h;
+    EXPECT_EQ(a.mass, b.mass) << what << " halo " << h;
+    EXPECT_EQ(a.x, b.x) << what << " halo " << h;
+    EXPECT_EQ(a.y, b.y) << what << " halo " << h;
+    EXPECT_EQ(a.z, b.z) << what << " halo " << h;
+    EXPECT_EQ(a.vx, b.vx) << what << " halo " << h;
+    EXPECT_EQ(a.vy, b.vy) << what << " halo " << h;
+    EXPECT_EQ(a.vz, b.vz) << what << " halo " << h;
+    EXPECT_EQ(a.r_rms, b.r_rms) << what << " halo " << h;
+    EXPECT_EQ(a.sigma_v, b.sigma_v) << what << " halo " << h;
+    EXPECT_EQ(a.members, b.members) << what << " halo " << h;
+  }
+}
+
+TEST(FofOracle, ClumpAcrossPeriodicFaceOverUniformBackground) {
+  Rng rng(11);
+  Particles p;
+  for (int i = 0; i < 600; ++i) {
+    p.add(rng.uniform(), rng.uniform(), rng.uniform());
+  }
+  p.blob(rng, 0.999, 0.4, 0.6, 400, 0.01, 80.0);
+  const FofOptions options{0.2, 5};
+  const HaloCatalog want = reference_find_halos(p, options);
+  ASSERT_GE(want.halos.size(), 1u);
+  EXPECT_GE(want.halos[0].npart, 300u);  // the clump, merged across x = 0
+  for (const std::size_t threads : {1, 4}) {
+    parallel::set_thread_count(threads);
+    expect_same_catalog(find_halos(p.view(), 1.0, 100.0, options), want,
+                        "threads=" + std::to_string(threads));
+  }
+  parallel::set_thread_count(0);
+}
+
+TEST(FofOracle, UniformNearPercolation) {
+  // b = 0.7 on uniform points sits just below the percolation threshold:
+  // many groups of every size, each of which a single missed or spurious
+  // pair would change.
+  Rng rng(12);
+  Particles p;
+  for (int i = 0; i < 3000; ++i) {
+    p.add(rng.uniform(), rng.uniform(), rng.uniform());
+  }
+  const FofOptions options{0.7, 1};
+  const HaloCatalog want = reference_find_halos(p, options);
+  EXPECT_GT(want.halos.size(), 100u);
+  EXPECT_GT(want.halos[0].npart, 20u);
+  for (const std::size_t threads : {1, 4}) {
+    parallel::set_thread_count(threads);
+    expect_same_catalog(find_halos(p.view(), 1.0, 100.0, options), want,
+                        "threads=" + std::to_string(threads));
+  }
+  parallel::set_thread_count(0);
+}
+
+TEST(FofOracle, TinyInputsWithAliasedStencil) {
+  // b = 1.2 makes the cell table 1 or 2 cells a side for n <= 30, where
+  // the half stencil's offsets alias onto the same cells.
+  for (int n = 1; n <= 30; ++n) {
+    Rng rng(static_cast<std::uint64_t>(100 + n));
+    Particles p;
+    for (int i = 0; i < n; ++i) {
+      p.add(rng.uniform(), rng.uniform(), rng.uniform());
+    }
+    const FofOptions options{1.2, 1};
+    expect_same_catalog(find_halos(p.view(), 1.0, 100.0, options),
+                        reference_find_halos(p, options),
+                        "n=" + std::to_string(n));
+  }
 }
 
 }  // namespace

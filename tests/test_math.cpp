@@ -2,11 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "math/fft.hpp"
 #include "math/grid3.hpp"
 #include "math/integrate.hpp"
+#include "parallel/pool.hpp"
 
 namespace gc::math {
 namespace {
@@ -157,6 +159,132 @@ TEST(Fft, IsPow2) {
   EXPECT_TRUE(is_pow2(64));
   EXPECT_FALSE(is_pow2(0));
   EXPECT_FALSE(is_pow2(48));
+}
+
+// ---------- FFT byte oracle ----------
+
+// The textbook iterative radix-2 transform on std::complex, strided, one
+// pencil at a time: the reference fft/fft3 must reproduce byte for byte.
+// Its multiply is std::complex operator*, so this also pins `mul` to it.
+void reference_fft_strided(Complex* data, std::size_t n, std::size_t stride,
+                           bool inverse) {
+  std::vector<Complex> tw(std::max<std::size_t>(n / 2, 1));
+  for (std::size_t j = 0; j < tw.size(); ++j) {
+    const double angle =
+        -2.0 * M_PI * static_cast<double>(j) / static_cast<double>(n);
+    tw[j] = Complex(std::cos(angle), std::sin(angle));
+  }
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(data[i * stride], data[j * stride]);
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t step = n / len;
+    for (std::size_t i = 0; i < n; i += len) {
+      for (std::size_t j = 0; j < len / 2; ++j) {
+        const Complex w = inverse ? std::conj(tw[j * step]) : tw[j * step];
+        Complex& a = data[(i + j) * stride];
+        Complex& b = data[(i + j + len / 2) * stride];
+        const Complex u = a;
+        const Complex v = b * w;
+        a = u + v;
+        b = u - v;
+      }
+    }
+  }
+  if (inverse) {
+    const double scale = 1.0 / static_cast<double>(n);
+    for (std::size_t i = 0; i < n; ++i) data[i * stride] *= scale;
+  }
+}
+
+void reference_fft3(std::vector<Complex>& data, std::size_t n0,
+                    std::size_t n1, std::size_t n2, bool inverse) {
+  Complex* d = data.data();
+  for (std::size_t line = 0; line < n0 * n1; ++line) {
+    reference_fft_strided(d + line * n2, n2, 1, inverse);
+  }
+  for (std::size_t line = 0; line < n0 * n2; ++line) {
+    reference_fft_strided(d + (line / n2) * n1 * n2 + line % n2, n1, n2,
+                          inverse);
+  }
+  for (std::size_t line = 0; line < n1 * n2; ++line) {
+    reference_fft_strided(d + line, n0, n1 * n2, inverse);
+  }
+}
+
+/// Gaussian data with exact zeros of both signs mixed in, so signed-zero
+/// handling in the butterflies is exercised too.
+std::vector<Complex> oracle_input(std::size_t size, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Complex> data(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    data[i] = {rng.normal(), rng.normal()};
+    if (i % 7 == 3) data[i] = {-0.0, data[i].imag()};
+    if (i % 11 == 5) data[i] = {data[i].real(), -0.0};
+    if (i % 13 == 6) data[i] = {0.0, 0.0};
+  }
+  return data;
+}
+
+bool same_bytes(const std::vector<Complex>& a, const std::vector<Complex>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
+}
+
+TEST(FftOracle, LineMatchesReferenceBytes) {
+  for (std::size_t n = 2; n <= 1024; n <<= 1) {
+    for (const bool inverse : {false, true}) {
+      std::vector<Complex> got = oracle_input(n, n);
+      std::vector<Complex> want = got;
+      fft(got, inverse);
+      reference_fft_strided(want.data(), n, 1, inverse);
+      EXPECT_TRUE(same_bytes(got, want)) << "n=" << n << " inverse=" << inverse;
+    }
+  }
+}
+
+TEST(FftOracle, CubeMatchesReferenceBytesAtAnyThreadCount) {
+  struct Shape {
+    std::size_t n0, n1, n2;
+  };
+  const Shape shapes[] = {{4, 4, 4},    {8, 8, 8},   {16, 16, 16},
+                          {32, 32, 32}, {64, 64, 64}, {4, 16, 8}};
+  for (const std::size_t threads : {1, 4}) {
+    parallel::set_thread_count(threads);
+    for (const Shape& s : shapes) {
+      for (const bool inverse : {false, true}) {
+        std::vector<Complex> got =
+            oracle_input(s.n0 * s.n1 * s.n2, s.n0 + 3 * s.n1 + 7 * s.n2);
+        std::vector<Complex> want = got;
+        fft3(got, s.n0, s.n1, s.n2, inverse);
+        reference_fft3(want, s.n0, s.n1, s.n2, inverse);
+        EXPECT_TRUE(same_bytes(got, want))
+            << s.n0 << "x" << s.n1 << "x" << s.n2 << " inverse=" << inverse
+            << " threads=" << threads;
+      }
+    }
+  }
+  parallel::set_thread_count(0);
+}
+
+TEST(FftOracle, MulMatchesOperatorBytes) {
+  // Including the GRAFIC shape (0, s) * z, where folding the zero real part
+  // away would flip signed zeros.
+  const Complex cases[][2] = {{{1.5, -2.25}, {0.75, 3.0}},
+                              {{0.0, 2.0}, {1.0, 0.0}},
+                              {{0.0, 2.0}, {-0.0, 1.0}},
+                              {{0.0, -3.0}, {4.0, -0.0}},
+                              {{0.0, 0.5}, {-0.0, -0.0}},
+                              {{-0.0, 0.0}, {2.0, 3.0}}};
+  for (const auto& c : cases) {
+    const Complex got = mul(c[0], c[1]);
+    const Complex want = c[0] * c[1];
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(Complex)), 0)
+        << c[0] << " * " << c[1];
+  }
 }
 
 // ---------- integrate ----------

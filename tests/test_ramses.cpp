@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <numeric>
 
@@ -153,6 +154,113 @@ TEST(Pm, TwoBodiesAttract) {
   EXPECT_LT(acc[0][1], 0.0);  // right particle pulled left
   EXPECT_NEAR(acc[0][0] + acc[0][1], 0.0, 1e-9);  // equal masses
   EXPECT_NEAR(acc[1][0], 0.0, 1e-9);              // no transverse force
+}
+
+// The CIC scatter and gather with a periodic lookup per corner, as written
+// before the wrapped indices were hoisted: the byte reference for both.
+math::Grid3<double> reference_cic(const ParticleSet& particles, int n) {
+  math::Grid3<double> delta(static_cast<std::size_t>(n), 0.0);
+  const double nd = static_cast<double>(n);
+  for (std::size_t p = 0; p < particles.size(); ++p) {
+    const double gx = particles.x[p] * nd - 0.5;
+    const double gy = particles.y[p] * nd - 0.5;
+    const double gz = particles.z[p] * nd - 0.5;
+    const long i0 = static_cast<long>(std::floor(gx));
+    const long j0 = static_cast<long>(std::floor(gy));
+    const long k0 = static_cast<long>(std::floor(gz));
+    const double fx = gx - static_cast<double>(i0);
+    const double fy = gy - static_cast<double>(j0);
+    const double fz = gz - static_cast<double>(k0);
+    const double m = particles.mass[p] * (nd * nd * nd);
+    for (int di = 0; di <= 1; ++di) {
+      const double wx = di ? fx : 1.0 - fx;
+      for (int dj = 0; dj <= 1; ++dj) {
+        const double wy = dj ? fy : 1.0 - fy;
+        for (int dk = 0; dk <= 1; ++dk) {
+          const double wz = dk ? fz : 1.0 - fz;
+          delta.atp(i0 + di, j0 + dj, k0 + dk) += m * wx * wy * wz;
+        }
+      }
+    }
+  }
+  for (double& v : delta.raw()) v -= 1.0;
+  return delta;
+}
+
+std::array<std::vector<double>, 3> reference_forces(
+    const math::Grid3<double>& phi, const ParticleSet& particles) {
+  const auto n = static_cast<long>(phi.n());
+  const double nd = static_cast<double>(n);
+  const double inv_2h = nd / 2.0;
+  std::array<std::vector<double>, 3> acc;
+  for (auto& a : acc) a.assign(particles.size(), 0.0);
+  for (std::size_t p = 0; p < particles.size(); ++p) {
+    const double gx = particles.x[p] * nd - 0.5;
+    const double gy = particles.y[p] * nd - 0.5;
+    const double gz = particles.z[p] * nd - 0.5;
+    const long i0 = static_cast<long>(std::floor(gx));
+    const long j0 = static_cast<long>(std::floor(gy));
+    const long k0 = static_cast<long>(std::floor(gz));
+    const double fx = gx - static_cast<double>(i0);
+    const double fy = gy - static_cast<double>(j0);
+    const double fz = gz - static_cast<double>(k0);
+    for (int di = 0; di <= 1; ++di) {
+      const double wx = di ? fx : 1.0 - fx;
+      for (int dj = 0; dj <= 1; ++dj) {
+        const double wy = dj ? fy : 1.0 - fy;
+        for (int dk = 0; dk <= 1; ++dk) {
+          const double w = wx * wy * (dk ? fz : 1.0 - fz);
+          const long i = i0 + di;
+          const long j = j0 + dj;
+          const long k = k0 + dk;
+          acc[0][p] -=
+              w * (phi.atp(i + 1, j, k) - phi.atp(i - 1, j, k)) * inv_2h;
+          acc[1][p] -=
+              w * (phi.atp(i, j + 1, k) - phi.atp(i, j - 1, k)) * inv_2h;
+          acc[2][p] -=
+              w * (phi.atp(i, j, k + 1) - phi.atp(i, j, k - 1)) * inv_2h;
+        }
+      }
+    }
+  }
+  return acc;
+}
+
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+TEST(Pm, CicAndForcesMatchPeriodicLookupBytes) {
+  // Random particles plus ones on and next to every box face, so each
+  // wrapped index (below 0 and past n-1) is exercised.
+  Rng rng(8);
+  ParticleSet particles;
+  const double edges[] = {0.0, 1e-9, 0.01, 0.5, 0.99, 1.0 - 1e-12};
+  std::uint64_t id = 1;
+  for (const double ex : edges) {
+    for (const double ey : edges) {
+      particles.push_back(ex, ey, rng.uniform(), 0, 0, 0, 1e-4, id++, 0);
+    }
+  }
+  while (particles.size() < 3000) {
+    particles.push_back(rng.uniform(), rng.uniform(), rng.uniform(), 0, 0, 0,
+                        rng.uniform(0.5, 2.0) / 3000.0, id++, 0);
+  }
+  for (const int n : {4, 16, 32}) {
+    const auto delta = cic_deposit(particles, n);
+    EXPECT_TRUE(same_bytes(delta.raw(), reference_cic(particles, n).raw()))
+        << "cic n=" << n;
+    const auto phi = solve_poisson(delta, 1.5 * 0.27);
+    const auto acc = interpolate_forces(phi, particles);
+    const auto want = reference_forces(phi, particles);
+    for (int axis = 0; axis < 3; ++axis) {
+      const auto a = static_cast<std::size_t>(axis);
+      EXPECT_TRUE(same_bytes(acc[a], want[a]))
+          << "forces n=" << n << " axis=" << axis;
+    }
+  }
 }
 
 TEST(Pm, MomentumUnitConversions) {
