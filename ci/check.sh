@@ -132,6 +132,10 @@ assert len(runs) >= 2, "quick sweep lost its MA points"
 assert all(r["failed"] == 0 for r in runs), "serving run failed calls"
 assert len({r["science_digest"] for r in runs}) == 1, \
     "science digest depends on the MA count"
+# Pinned, not only MA-count-invariant: a serving-path change that shifted
+# every MA count alike would keep the digests equal to each other.
+assert runs[0]["science_digest"] == "1d18977e06011158", \
+    f'serving science digest moved: {runs[0]["science_digest"]}'
 fed = [r for r in runs if r["mas"] > 1]
 assert fed and all(r["peer_forwards"] > 0 for r in fed), \
     "federated run never exercised peer forwarding"

@@ -97,9 +97,31 @@ void Engine::sift_down(std::size_t i) {
 }
 
 void Engine::heap_pop() {
-  heap_[0] = heap_.back();
+  // Bottom-up deletion: walk the hole at the root down to a leaf along the
+  // minimal children (one compare per child, none against the filler),
+  // then sift the last entry up from there. The filler almost always
+  // belongs near the bottom, so this does fewer compares than a classic
+  // sift-down. The layout may differ from a sift-down's, but the pop
+  // sequence cannot: (time, tie, seq) is a strict total order, so every
+  // valid heap yields the same unique minimum.
+  const HeapEntry last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  std::size_t hole = 0;
+  for (;;) {
+    const std::size_t first = 4 * hole + 1;
+    if (first >= n) break;
+    std::size_t best = first;
+    const std::size_t end = first + 4 < n ? first + 4 : n;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (earlier(heap_[c], heap_[best])) best = c;
+    }
+    heap_[hole] = heap_[best];
+    hole = best;
+  }
+  heap_[hole] = last;
+  sift_up(hole);
 }
 
 void Engine::sift_up(std::size_t i) {

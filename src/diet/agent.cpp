@@ -190,6 +190,24 @@ Agent::Child* Agent::find_child(net::Endpoint endpoint) {
   return nullptr;
 }
 
+std::shared_ptr<const Agent::Fanout> Agent::fanout_for(
+    const std::string& service) {
+  auto [it, inserted] = fanouts_.try_emplace(service);
+  if (inserted) {
+    auto fanout = std::make_shared<Fanout>();
+    for (const auto& child : children_) {
+      if (!child.alive) continue;  // heartbeat watchdog marked it dead
+      if (child.services.count(service) > 0) {
+        fanout->in_order.push_back(child.endpoint);
+      }
+    }
+    fanout->sorted = fanout->in_order;
+    std::sort(fanout->sorted.begin(), fanout->sorted.end());
+    it->second = std::move(fanout);
+  }
+  return it->second;
+}
+
 void Agent::arm_child_deadline(net::Endpoint child_endpoint) {
   if (tuning_.heartbeat_timeout <= 0.0) return;
   Child* child = find_child(child_endpoint);
@@ -204,6 +222,7 @@ void Agent::arm_child_deadline(net::Endpoint child_endpoint) {
         if (c == nullptr || !c->alive) return;
         c->alive = false;
         c->hb_timer = 0;
+        children_changed();
         ++heartbeat_evictions_;
         GC_WARN << "agent " << name_ << ": no heartbeat from " << c->name
                 << " for " << tuning_.heartbeat_timeout
@@ -253,6 +272,7 @@ void Agent::handle_heartbeat(const net::Envelope& envelope) {
     // A heartbeat from a dead-marked child heals it: either the beacons
     // were merely dropped, or the partition around it ended.
     child->alive = true;
+    children_changed();
     GC_WARN << "agent " << name_ << ": heartbeat from dead-marked "
             << child->name << ", reviving it";
     if (obs::tracing()) {
@@ -288,7 +308,7 @@ void Agent::charge_cpu(double cost) {
   cpu_busy_until_ = std::max(cpu_busy_until_, now) + cost;
 }
 
-void Agent::process_for(double cost, std::function<void()> fn) {
+void Agent::process_for(double cost, des::EventFn fn) {
   const double now = env()->now();
   cpu_busy_until_ = std::max(cpu_busy_until_, now) + cost;
   env()->post_after(cpu_busy_until_ - now, std::move(fn));
@@ -384,6 +404,7 @@ void Agent::handle_sed_register(const net::Envelope& envelope) {
         existing.services.insert(desc.path());
         services_.insert(desc.path());
       }
+      children_changed();
       env()->send(
           net::Envelope{endpoint(), envelope.from, kRegisterAck, {}, 0});
       arm_child_deadline(envelope.from);
@@ -401,6 +422,7 @@ void Agent::handle_sed_register(const net::Envelope& envelope) {
     services_.insert(desc.path());
   }
   children_.push_back(std::move(child));
+  children_changed();
   env()->send(net::Envelope{endpoint(), envelope.from, kRegisterAck, {}, 0});
   arm_child_deadline(envelope.from);
   propagate_services();
@@ -414,6 +436,7 @@ void Agent::handle_agent_register(const net::Envelope& envelope) {
     if (child.endpoint == envelope.from) {
       child.services.insert(msg.services.begin(), msg.services.end());
       services_.insert(msg.services.begin(), msg.services.end());
+      children_changed();
       propagate_services();
       return;
     }
@@ -425,6 +448,7 @@ void Agent::handle_agent_register(const net::Envelope& envelope) {
   child.services.insert(msg.services.begin(), msg.services.end());
   services_.insert(msg.services.begin(), msg.services.end());
   children_.push_back(std::move(child));
+  children_changed();
   env()->send(net::Envelope{endpoint(), envelope.from, kRegisterAck, {}, 0});
   arm_child_deadline(envelope.from);
   propagate_services();
@@ -490,13 +514,8 @@ void Agent::handle_collect(const net::Envelope& envelope) {
 
 void Agent::start_collect(std::uint64_t key, Pending pending,
                           const RequestCollectMsg& msg) {
-  std::vector<net::Endpoint> targets;
-  for (const auto& child : children_) {
-    if (!child.alive) continue;  // heartbeat watchdog marked it dead
-    if (child.services.count(pending.service) > 0) {
-      targets.push_back(child.endpoint);
-    }
-  }
+  std::shared_ptr<const Fanout> fanout = fanout_for(pending.service);
+  const std::vector<net::Endpoint>& targets = fanout->in_order;
   // Federation fan-out: forward to capable peer shards when the hop budget
   // allows — on every request under federate_always, otherwise only when
   // no local child offers the service (a shard miss).
@@ -512,7 +531,7 @@ void Agent::start_collect(std::uint64_t key, Pending pending,
     }
   }
   pending.expected = targets.size() + peer_targets.size();
-  pending.asked = targets;
+  pending.asked = fanout;
   if (obs::tracing()) {
     pending.span = obs::Tracer::instance().begin_span(
         env()->now(), "collect:" + pending.service, "agent:" + name_,
@@ -544,27 +563,40 @@ void Agent::start_collect(std::uint64_t key, Pending pending,
   // partial) answers arrive before I give up.
   const double budget =
       msg.timeout_s > 0.0 ? msg.timeout_s : tuning_.collect_timeout;
+  // Every child gets the same bytes, so the forwarded collect is encoded
+  // once per fan-out (the message is fixed here, so encoding now or at
+  // send time yields the same wire bytes).
   RequestCollectMsg forwarded = msg;
   forwarded.timeout_s = 0.6 * budget;
   // Children are inside this hierarchy: strip the federation section so
   // intra-hierarchy collects keep their pre-federation bytes.
   forwarded.origin_uid = 0;
   forwarded.ttl = 0;
+  net::Bytes payload = forwarded.encode();
   // Peers get the section: who the origin is (loop detection) and how many
   // further hops they may grant.
-  RequestCollectMsg peer_forwarded = msg;
-  peer_forwarded.timeout_s = 0.6 * budget;
-  peer_forwarded.origin_uid = pending.origin_uid;
-  peer_forwarded.ttl = pending.peer_budget > 0 ? pending.peer_budget - 1 : 0;
+  net::Bytes peer_payload;
+  if (!peer_targets.empty()) {
+    RequestCollectMsg peer_forwarded = msg;
+    peer_forwarded.timeout_s = 0.6 * budget;
+    peer_forwarded.origin_uid = it->second.origin_uid;
+    peer_forwarded.ttl =
+        it->second.peer_budget > 0 ? it->second.peer_budget - 1 : 0;
+    peer_payload = peer_forwarded.encode();
+  }
 
   // Fan-out costs exclusive CPU: base processing plus marshalling one
   // collect message per child/peer.
-  process_for(
+  const double fanout_cost =
       noisy(tuning_.processing_delay) +
-          tuning_.per_message_cost *
-              static_cast<double>(1 + targets.size() + peer_targets.size()),
-      [this, key, forwarded, peer_forwarded, targets, peer_targets, budget,
-       trace_id]() {
+      tuning_.per_message_cost *
+          static_cast<double>(1 + targets.size() + peer_targets.size());
+  process_for(
+      fanout_cost,
+      [this, key, fanout = std::move(fanout), payload = std::move(payload),
+       peer_payload = std::move(peer_payload),
+       peer_targets = std::move(peer_targets), budget, trace_id]() {
+        const std::vector<net::Endpoint>& targets = fanout->in_order;
         if (failed_) return;
         if (obs::metrics_on()) {
           obs::Metrics::instance()
@@ -579,12 +611,12 @@ void Agent::start_collect(std::uint64_t key, Pending pending,
         }
         for (const net::Endpoint target : targets) {
           env()->send(net::Envelope{endpoint(), target, kRequestCollect,
-                                    forwarded.encode(), 0, trace_id});
+                                    payload, 0, trace_id});
         }
         peer_stats_.forwards += peer_targets.size();
         for (const net::Endpoint target : peer_targets) {
           env()->send(net::Envelope{endpoint(), target, kPeerCollect,
-                                    peer_forwarded.encode(), 0, trace_id});
+                                    peer_payload, 0, trace_id});
         }
         // Schedule with whatever arrived if a child never answers.
         const net::TimerId timer = env()->post_after(budget, [this, key]() {
@@ -652,7 +684,10 @@ void Agent::accumulate_candidates(std::uint64_t key,
   Pending& pending = it->second;
   // A duplicated answer would double-count towards `expected` and list
   // its candidates twice; one answer per child/peer per request.
-  if (!pending.answered.insert(from).second) return;
+  const auto at = std::lower_bound(pending.answered.begin(),
+                                   pending.answered.end(), from);
+  if (at != pending.answered.end() && *at == from) return;
+  pending.answered.insert(at, from);
   pending.received += 1;
   // Unmarshalling one reply (and its candidate list) is exclusive CPU.
   charge_cpu(tuning_.per_message_cost *
@@ -690,10 +725,10 @@ void Agent::finalize(std::uint64_t key) {
   // DES tie-break may process them either way. Rank from a canonical
   // order so the chosen SED depends only on the candidates themselves
   // (the schedule fuzzer relies on this).
-  std::sort(pending.candidates.begin(), pending.candidates.end(),
-            [](const sched::Candidate& a, const sched::Candidate& b) {
-              return a.sed_uid < b.sed_uid;
-            });
+  // uids are unique, so this has exactly one result.
+  sched::order_by_key(pending.candidates, [](const sched::Candidate& c) {
+    return c.sed_uid;
+  });
 
   if (kind_ == Kind::kMaster) {
     // Fill the agent-side view of each SED's outstanding assignments
@@ -776,18 +811,17 @@ void Agent::finalize(std::uint64_t key) {
 }
 
 void Agent::note_timeouts(const Pending& pending) {
-  if (tuning_.max_child_timeouts <= 0) return;
+  if (tuning_.max_child_timeouts <= 0 || pending.asked->sorted.empty()) return;
   bool evicted = false;
   for (auto it = children_.begin(); it != children_.end();) {
     Child& child = *it;
-    const bool was_asked =
-        std::find(pending.asked.begin(), pending.asked.end(),
-                  child.endpoint) != pending.asked.end();
-    if (!was_asked) {
+    if (!std::binary_search(pending.asked->sorted.begin(),
+                            pending.asked->sorted.end(), child.endpoint)) {
       ++it;
       continue;
     }
-    if (pending.answered.count(child.endpoint) > 0) {
+    if (std::binary_search(pending.answered.begin(), pending.answered.end(),
+                           child.endpoint)) {
       child.consecutive_timeouts = 0;
       ++it;
       continue;
@@ -803,6 +837,7 @@ void Agent::note_timeouts(const Pending& pending) {
     }
   }
   if (evicted) {
+    children_changed();
     // Recompute the service union and tell the parent.
     services_.clear();
     for (const auto& child : children_) {

@@ -167,6 +167,15 @@ class Agent final : public net::Actor {
     net::TimerId hb_timer = 0;
   };
 
+  /// The children one collect fans out to: alive, offering the service,
+  /// in children_ order (the send order), plus the same endpoints sorted
+  /// for membership tests. Shared by every collect of the service until
+  /// children_changed() drops it.
+  struct Fanout {
+    std::vector<net::Endpoint> in_order;
+    std::vector<net::Endpoint> sorted;
+  };
+
   struct Pending {
     bool from_client = false;
     bool from_peer = false;  ///< kPeerCollect: answer with kPeerCandidates
@@ -181,8 +190,9 @@ class Agent final : public net::Actor {
     std::size_t expected = 0;
     std::size_t received = 0;
     std::vector<sched::Candidate> candidates;
-    std::vector<net::Endpoint> asked;
-    std::set<net::Endpoint> answered;
+    std::shared_ptr<const Fanout> asked;
+    /// Children and peers that answered, sorted.
+    std::vector<net::Endpoint> answered;
     bool finalizing = false;
     net::TimerId timeout_timer = 0;
     obs::TraceId trace_id = 0;  ///< carried from the incoming envelope
@@ -214,6 +224,13 @@ class Agent final : public net::Actor {
   void fill_locality(Pending& pending);
   void update_catalog_gauge();
   [[nodiscard]] Child* find_child(net::Endpoint endpoint);
+  /// The cached fan-out list for a service, built on first use.
+  [[nodiscard]] std::shared_ptr<const Fanout> fanout_for(
+      const std::string& service);
+  /// The one invalidation point of the fan-out cache: every change to
+  /// children_ that can change a fan-out list (registration, re-register,
+  /// service growth, eviction, alive/dead flip) calls this.
+  void children_changed() { fanouts_.clear(); }
   [[nodiscard]] Peer* find_peer(net::Endpoint endpoint);
   /// (Re)arms the heartbeat deadline for one child.
   void arm_child_deadline(net::Endpoint child_endpoint);
@@ -241,7 +258,7 @@ class Agent final : public net::Actor {
 
   /// Runs fn after `cost` seconds of *exclusive* agent CPU: work queues
   /// behind whatever the agent is already processing.
-  void process_for(double cost, std::function<void()> fn);
+  void process_for(double cost, des::EventFn fn);
   /// Accounts CPU without a continuation (cheap bookkeeping like
   /// unmarshalling one reply).
   void charge_cpu(double cost);
@@ -254,6 +271,8 @@ class Agent final : public net::Actor {
 
   net::Endpoint parent_ = net::kNullEndpoint;
   std::vector<Child> children_;
+  /// service -> fan-out list; see Fanout and children_changed().
+  std::unordered_map<std::string, std::shared_ptr<const Fanout>> fanouts_;
   /// MA only: peer master agents, in connect order (deterministic fan-out).
   std::vector<Peer> peers_;
   std::uint32_t ma_uid_ = 0;  ///< 0 = not federated

@@ -233,14 +233,18 @@ void Sed::handle_collect(const net::Envelope& envelope) {
     self.est = make_estimation(msg.desc);
     reply.candidates.push_back(std::move(self));
   }
+  // The reply is fixed at handle time (the estimation is a snapshot of
+  // now), so encode it here: the timer carries the wire bytes, not the
+  // message, and fits EventFn's inline buffer.
   const net::Endpoint to = envelope.from;
   const obs::TraceId trace_id = envelope.trace_id;
   const std::uint64_t epoch = epoch_;
   env()->post_after(noisy(tuning_.estimation_delay),
-                    [this, to, reply, trace_id, epoch]() {
+                    [this, to, payload = reply.encode(), trace_id,
+                     epoch]() mutable {
     if (failed_ || epoch != epoch_) return;
-    env()->send(net::Envelope{endpoint(), to, kCandidates, reply.encode(), 0,
-                              trace_id});
+    env()->send(net::Envelope{endpoint(), to, kCandidates, std::move(payload),
+                              0, trace_id});
   });
 }
 

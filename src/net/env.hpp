@@ -12,6 +12,7 @@
 #include <functional>
 
 #include "common/units.hpp"
+#include "des/event_fn.hpp"
 #include "net/message.hpp"
 #include "net/topology.hpp"
 
@@ -49,8 +50,9 @@ class Env {
   [[nodiscard]] virtual SimTime now() const = 0;
 
   /// Runs fn after `delay` seconds on the dispatch context. The returned
-  /// id can cancel the timer before it fires.
-  virtual TimerId post_after(SimTime delay, std::function<void()> fn) = 0;
+  /// id can cancel the timer before it fires. fn is the DES handler type
+  /// (move-only, small-buffer): SimEnv hands it to the calendar as-is.
+  virtual TimerId post_after(SimTime delay, des::EventFn fn) = 0;
 
   /// post_after, attributed to `owner` for the DES's independence
   /// bookkeeping (see des::Strategy). An actor arming a timer chain from
@@ -59,7 +61,7 @@ class Env {
   /// into the conservatively-shared root ownership. Backends without a
   /// scheduler seam ignore the attribution.
   virtual TimerId post_after_as(Endpoint owner, SimTime delay,
-                                std::function<void()> fn) {
+                                des::EventFn fn) {
     (void)owner;
     return post_after(delay, std::move(fn));
   }

@@ -74,7 +74,7 @@ void RealEnv::wait_idle() {
                 [this] { return live_queued() == 0 && in_flight_ == 0; });
 }
 
-TimerId RealEnv::enqueue(SimTime deadline, std::function<void()> fn) {
+TimerId RealEnv::enqueue(SimTime deadline, des::EventFn fn) {
   GC_TRACKED_LOCK(lock, mutex_, kLockName);
   GC_INVARIANT(!stopped_, "post/send after RealEnv::stop() completed");
   const std::uint64_t seq = next_seq_++;
@@ -84,7 +84,7 @@ TimerId RealEnv::enqueue(SimTime deadline, std::function<void()> fn) {
   return seq;
 }
 
-TimerId RealEnv::post_after(SimTime delay, std::function<void()> fn) {
+TimerId RealEnv::post_after(SimTime delay, des::EventFn fn) {
   GC_CHECK_MSG(delay >= 0.0, "negative delay");
   if (obs::metrics_on()) {
     obs::Metrics::instance().counter("net_timers_total").inc();

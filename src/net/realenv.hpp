@@ -47,7 +47,7 @@ class RealEnv final : public Env {
   void wait_idle();
 
   [[nodiscard]] SimTime now() const override;
-  TimerId post_after(SimTime delay, std::function<void()> fn) override;
+  TimerId post_after(SimTime delay, des::EventFn fn) override;
   bool cancel_timer(TimerId id) override;
   void detach(Endpoint endpoint) override;
   void send(Envelope envelope) override;
@@ -63,7 +63,7 @@ class RealEnv final : public Env {
  private:
   Endpoint do_attach(Actor& actor, NodeId node) override;
   void dispatcher_loop();
-  TimerId enqueue(SimTime deadline, std::function<void()> fn);
+  TimerId enqueue(SimTime deadline, des::EventFn fn);
   /// Live (non-cancelled) queued events; callers hold mutex_.
   [[nodiscard]] std::size_t live_queued() const {
     return queue_.size() - cancelled_.size();
@@ -72,7 +72,7 @@ class RealEnv final : public Env {
   struct Timed {
     SimTime deadline;
     std::uint64_t seq;
-    std::function<void()> fn;
+    des::EventFn fn;
   };
   struct Later {
     bool operator()(const Timed& a, const Timed& b) const {

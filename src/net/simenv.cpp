@@ -24,9 +24,8 @@ obs::Labels link_labels(NodeId src, NodeId dst) {
 }  // namespace
 
 Endpoint SimEnv::do_attach(Actor& actor, NodeId node) {
-  const Endpoint ep = next_endpoint_++;
-  actors_.emplace(ep, Entry{&actor, node});
-  nodes_.emplace(ep, node);
+  const auto ep = static_cast<Endpoint>(actors_.size());
+  actors_.push_back(Entry{&actor, node});
   return ep;
 }
 
@@ -62,8 +61,7 @@ SimEnv::bytes_by_node_pair() const {
 }
 
 void SimEnv::send(Envelope envelope) {
-  auto to_it = actors_.find(envelope.to);
-  if (to_it == actors_.end()) {
+  if (actor_at(envelope.to) == nullptr) {
     GC_WARN << "simenv: dropping message type " << envelope.type
             << " to unknown endpoint " << envelope.to;
     return;
@@ -73,10 +71,11 @@ void SimEnv::send(Envelope envelope) {
   auto [stream_it, inserted] = streams_.try_emplace(stream_key);
   StreamState& stream = stream_it->second;
   if (inserted) {
-    auto from_it = actors_.find(envelope.from);
-    stream.src =
-        from_it != actors_.end() ? from_it->second.node : to_it->second.node;
-    stream.dst = to_it->second.node;
+    const NodeId dst = actors_[envelope.to].node;
+    stream.src = actor_at(envelope.from) != nullptr
+                     ? actors_[envelope.from].node
+                     : dst;
+    stream.dst = dst;
   }
 
   const std::int64_t wire = envelope.wire_size();
@@ -274,14 +273,14 @@ void SimEnv::schedule_delivery(SimTime at, Envelope envelope,
                                static_cast<unsigned long long>(fifo_seq)));
       }
     }
-    auto it = actors_.find(env.to);
-    if (it == actors_.end()) return;  // actor detached in flight
+    Actor* actor = actor_at(env.to);
+    if (actor == nullptr) return;  // actor detached in flight
     if (obs::tracing()) {
       obs::Tracer::instance().instant(
           engine_.now(), "deliver:" + std::to_string(env.type),
-          "net:n" + std::to_string(it->second.node), env.trace_id);
+          "net:n" + std::to_string(actors_[env.to].node), env.trace_id);
     }
-    it->second.actor->on_message(env);
+    actor->on_message(env);
   }, des::EventTag::kMessage, owner);
 }
 

@@ -17,6 +17,7 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "check/invariant.hpp"
 #include "des/engine.hpp"
@@ -34,20 +35,22 @@ class SimEnv final : public Env {
 
   [[nodiscard]] SimTime now() const override { return engine_.now(); }
 
-  TimerId post_after(SimTime delay, std::function<void()> fn) override {
+  TimerId post_after(SimTime delay, des::EventFn fn) override {
     return engine_.schedule_after(delay, std::move(fn),
                                   des::EventTag::kTimer);
   }
 
   TimerId post_after_as(Endpoint owner, SimTime delay,
-                        std::function<void()> fn) override {
+                        des::EventFn fn) override {
     return engine_.schedule_after(delay, std::move(fn), des::EventTag::kTimer,
                                   owner);
   }
 
   bool cancel_timer(TimerId id) override { return engine_.cancel(id); }
 
-  void detach(Endpoint endpoint) override { actors_.erase(endpoint); }
+  void detach(Endpoint endpoint) override {
+    if (endpoint < actors_.size()) actors_[endpoint].actor = nullptr;
+  }
 
   void send(Envelope envelope) override;
 
@@ -61,11 +64,10 @@ class SimEnv final : public Env {
   /// that was NEVER attached is a caller bug: invariant violation in
   /// GC_CHECK builds, node 0 in release.
   [[nodiscard]] NodeId node_of(Endpoint endpoint) const override {
-    auto it = nodes_.find(endpoint);
-    GC_INVARIANT(it != nodes_.end(),
-                 "node_of(" + std::to_string(endpoint) +
-                     "): endpoint was never attached");
-    return it != nodes_.end() ? it->second : 0;
+    const bool attached = endpoint != kNullEndpoint && endpoint < actors_.size();
+    GC_INVARIANT(attached, "node_of(" + std::to_string(endpoint) +
+                               "): endpoint was never attached");
+    return attached ? actors_[endpoint].node : 0;
   }
 
   /// Switches bulk transfers (wire size >= min_flow_bytes) to the
@@ -118,10 +120,17 @@ class SimEnv final : public Env {
                      std::uint64_t fifo_seq);
   void drain_held(StreamState& stream);
 
+  /// One attached endpoint. `actor` is nulled on detach; `node` stays, so
+  /// endpoints remain resolvable after detach (a dead SED still has a node).
   struct Entry {
-    Actor* actor;
-    NodeId node;
+    Actor* actor = nullptr;
+    NodeId node = 0;
   };
+
+  /// The live actor behind an endpoint; nullptr if detached or unknown.
+  [[nodiscard]] Actor* actor_at(Endpoint endpoint) const {
+    return endpoint < actors_.size() ? actors_[endpoint].actor : nullptr;
+  }
 
   /// Per (src, dst) endpoint pair: everything the send hot path needs,
   /// resolved with ONE hash lookup per message instead of the former
@@ -156,10 +165,9 @@ class SimEnv final : public Env {
   };
 
   des::Engine& engine_;
-  Endpoint next_endpoint_ = 1;
-  std::unordered_map<Endpoint, Entry> actors_;
-  /// Permanent endpoint -> node ledger; unlike actors_, never erased.
-  std::unordered_map<Endpoint, NodeId> nodes_;
+  /// Indexed by endpoint: endpoints are dense from 1 and never reused, so
+  /// slot 0 is the unused null endpoint and the table only grows.
+  std::vector<Entry> actors_ = std::vector<Entry>(1);
   /// Never erased: deliveries and flows hold StreamState pointers.
   std::unordered_map<std::uint64_t, StreamState> streams_;
   FaultHook* fault_hook_ = nullptr;

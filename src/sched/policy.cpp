@@ -24,14 +24,14 @@ class DefaultPolicy final : public Policy {
             Rng& rng) override {
     // Shuffle first so ties resolve uniformly (DIET's default behaviour:
     // share the requests, no power awareness), then stable-sort by
-    // outstanding load.
-    for (std::size_t i = candidates.size(); i > 1; --i) {
-      std::swap(candidates[i - 1], candidates[rng.uniform_u64(i)]);
+    // outstanding load. The shuffle permutes indices (same draws as
+    // swapping the candidates), so each Candidate moves once.
+    std::vector<std::uint32_t> shuffled(candidates.size());
+    for (std::uint32_t i = 0; i < shuffled.size(); ++i) shuffled[i] = i;
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.uniform_u64(i)]);
     }
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [](const Candidate& a, const Candidate& b) {
-                       return outstanding(a) < outstanding(b);
-                     });
+    order_by_key(candidates, outstanding, shuffled);
   }
 };
 
@@ -56,10 +56,7 @@ class MctPolicy final : public Policy {
 
   void rank(std::vector<Candidate>& candidates, const RequestContext&,
             Rng&) override {
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [](const Candidate& a, const Candidate& b) {
-                       return completion_estimate(a) < completion_estimate(b);
-                     });
+    order_by_key(candidates, completion_estimate);
   }
 };
 
@@ -69,10 +66,7 @@ class MctDataPolicy final : public Policy {
 
   void rank(std::vector<Candidate>& candidates, const RequestContext&,
             Rng&) override {
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [](const Candidate& a, const Candidate& b) {
-                       return data_completion(a) < data_completion(b);
-                     });
+    order_by_key(candidates, data_completion);
   }
 
  private:
@@ -97,10 +91,8 @@ class FastestPolicy final : public Policy {
 
   void rank(std::vector<Candidate>& candidates, const RequestContext&,
             Rng&) override {
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [](const Candidate& a, const Candidate& b) {
-                       return a.est.host_power > b.est.host_power;
-                     });
+    order_by_key(candidates,
+                 [](const Candidate& c) { return -c.est.host_power; });
   }
 };
 

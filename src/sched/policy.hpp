@@ -22,8 +22,12 @@
 //   - "random"   : uniform random (baseline for ablations).
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -48,6 +52,35 @@ class Policy {
   virtual void rank(std::vector<Candidate>& candidates,
                     const RequestContext& request, Rng& rng) = 0;
 };
+
+/// Reorders candidates by ascending key(c), equal keys keeping their order
+/// in `first` (a permutation of the indices applied beforehand; empty =
+/// the current order). Without `first` this is the one result
+/// std::stable_sort with key(a) < key(b) can produce. It sorts
+/// (key, index) pairs and then moves each Candidate once, instead of
+/// moving whole Candidates through the sort. Keys must be totally
+/// ordered (no NaN).
+template <typename KeyFn>
+void order_by_key(std::vector<Candidate>& candidates, KeyFn key,
+                  const std::vector<std::uint32_t>& first = {}) {
+  const std::size_t n = candidates.size();
+  if (n < 2) return;
+  const auto source = [&first](std::uint32_t i) {
+    return first.empty() ? i : first[i];
+  };
+  using Key = std::invoke_result_t<KeyFn&, const Candidate&>;
+  std::vector<std::pair<Key, std::uint32_t>> order(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    order[i] = {key(candidates[source(i)]), i};
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<Candidate> sorted;
+  sorted.reserve(n);
+  for (const auto& entry : order) {
+    sorted.push_back(std::move(candidates[source(entry.second)]));
+  }
+  candidates.swap(sorted);
+}
 
 std::unique_ptr<Policy> make_default_policy();
 std::unique_ptr<Policy> make_mct_policy();

@@ -2,6 +2,9 @@
 // one RealEnv end-to-end check), with a synthetic "double" service.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "des/engine.hpp"
 #include "diet/client.hpp"
 #include "diet/deployment.hpp"
@@ -12,8 +15,8 @@
 namespace gc::diet {
 namespace {
 
-ProfileDesc double_desc() {
-  ProfileDesc desc("double", 0, 0, 1);
+ProfileDesc double_desc(const std::string& name = "double") {
+  ProfileDesc desc(name, 0, 0, 1);
   desc.arg(0).type = DataType::kScalar;
   desc.arg(0).base = BaseType::kInt;
   desc.arg(1).type = DataType::kScalar;
@@ -21,8 +24,10 @@ ProfileDesc double_desc() {
   return desc;
 }
 
-/// Registers "double": OUT = 2 * IN, with a fixed modeled duration.
-void register_double(ServiceTable& table, double modeled_seconds) {
+/// Registers "double" (or the same shape under another name): OUT = 2 * IN,
+/// with a fixed modeled duration.
+void register_double(ServiceTable& table, double modeled_seconds,
+                     const std::string& name = "double") {
   SolveFn solve = [modeled_seconds](ServiceContext& ctx) {
     ctx.compute(
         modeled_seconds,
@@ -35,11 +40,12 @@ void register_double(ServiceTable& table, double modeled_seconds) {
         },
         [&ctx](int rc) { ctx.finish(rc); });
   };
-  ASSERT_TRUE(table.add(double_desc(), std::move(solve)).is_ok());
+  ASSERT_TRUE(table.add(double_desc(name), std::move(solve)).is_ok());
 }
 
-Profile double_profile(std::int32_t value) {
-  Profile profile("double", 0, 0, 1);
+Profile double_profile(std::int32_t value,
+                       const std::string& name = "double") {
+  Profile profile(name, 0, 0, 1);
   profile.arg(0).set_scalar<std::int32_t>(value, BaseType::kInt,
                                           Persistence::kVolatile);
   profile.arg(1).desc.type = DataType::kScalar;
@@ -390,6 +396,187 @@ TEST(Agents, PeriodicLoadReportsFlow) {
   // Reports keep flowing forever; the engine still has the next one
   // pending (periodic self-rescheduling).
   EXPECT_GT(engine.events_pending(), 0u);
+}
+
+// --- Fan-out bookkeeping: which children a collect is sent to ------------
+// Each agent caches its per-service fan-out list and drops it in one place
+// (children_changed). These tests pin every event that must change the
+// list: a heartbeat-dead child, its revival, a restart under a new
+// endpoint, a child that gains a service, a new child, and an eviction.
+
+/// Records every kRequestCollect destination and drops the heartbeats or
+/// candidate replies of chosen senders.
+class CollectCensus final : public net::FaultHook {
+ public:
+  net::FaultDecision on_message(SimTime, net::NodeId, net::NodeId,
+                                const net::Envelope& envelope,
+                                std::uint64_t) override {
+    if (envelope.type == kRequestCollect) asked.insert(envelope.to);
+    net::FaultDecision decision;
+    decision.drop = (envelope.type == kHeartbeat &&
+                     mute_heartbeats.count(envelope.from) > 0) ||
+                    (envelope.type == kCandidates &&
+                     mute_replies.count(envelope.from) > 0);
+    return decision;
+  }
+
+  std::set<net::Endpoint> asked;
+  std::set<net::Endpoint> mute_heartbeats;
+  std::set<net::Endpoint> mute_replies;
+};
+
+/// 1 MA, 1 LA over 4 SEDs, collect timeout 1 s (the LA waits 0.6 s).
+struct FanoutFixture {
+  explicit FanoutFixture(double heartbeat_period)
+      : topology(1e-3, 1e9), env(engine, topology) {
+    register_double(services, 1.0);
+    DeploymentSpec spec;
+    spec.ma_node = 0;
+    spec.agent_tuning.collect_timeout = 1.0;
+    spec.agent_tuning.max_child_timeouts = 2;
+    spec.agent_tuning.heartbeat_period = heartbeat_period;
+    spec.agent_tuning.heartbeat_timeout = 4 * heartbeat_period;
+    spec.sed_tuning.heartbeat_period = heartbeat_period;
+    DeploymentSpec::LaSpec la;
+    la.name = "LA";
+    la.node = 1;
+    for (int i = 0; i < 4; ++i) {
+      DeploymentSpec::SedSpec sed;
+      sed.name = "SeD" + std::to_string(i);
+      sed.node = static_cast<net::NodeId>(2 + i);
+      la.sed_indexes.push_back(i);
+      spec.seds.push_back(sed);
+    }
+    spec.las.push_back(la);
+    deployment = std::make_unique<Deployment>(env, registry, services, spec);
+    env.set_fault_hook(&census);
+    env.attach(client, 0);
+    client.connect(registry.resolve("MA1").value());
+    engine.run_until(engine.now() + 1.0);
+  }
+
+  ~FanoutFixture() { env.set_fault_hook(nullptr); }
+
+  /// One call, run to completion; returns the endpoints it asked.
+  std::set<net::Endpoint> call(const std::string& service = "double",
+                               bool expect_ok = true) {
+    census.asked.clear();
+    bool done = false;
+    client.call_async(double_profile(3, service),
+                      [&](const gc::Status& s, Profile&) {
+                        EXPECT_EQ(s.is_ok(), expect_ok) << s.to_string();
+                        done = true;
+                      });
+    // Heartbeat loops never let the calendar drain: step in bounded slices.
+    for (int i = 0; i < 100 && !done; ++i) {
+      engine.run_until(engine.now() + 0.1);
+    }
+    EXPECT_TRUE(done) << service << " call never completed";
+    return census.asked;
+  }
+
+  net::Endpoint sed(std::size_t i) { return deployment->sed(i).endpoint(); }
+  Agent& la() { return deployment->la(0); }
+
+  des::Engine engine;
+  net::UniformTopology topology;
+  net::SimEnv env;
+  naming::Registry registry;
+  ServiceTable services;
+  std::unique_ptr<Deployment> deployment;
+  CollectCensus census;
+  Client client{"client"};
+};
+
+TEST(AgentFanout, SkipsHeartbeatDeadChildAndAsksItOnceRevived) {
+  FanoutFixture fix(/*heartbeat_period=*/0.5);
+  std::set<net::Endpoint> asked = fix.call();
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(asked.count(fix.sed(i)), 1u);
+
+  // SeD1's beacons stop: after the 2 s deadline the LA marks it dead.
+  fix.census.mute_heartbeats.insert(fix.sed(1));
+  fix.engine.run_until(fix.engine.now() + 3.0);
+  EXPECT_EQ(fix.la().heartbeat_evictions(), 1u);
+  asked = fix.call();
+  EXPECT_EQ(asked.count(fix.sed(1)), 0u) << "a heartbeat-dead SED was asked";
+  EXPECT_EQ(asked.count(fix.sed(0)), 1u);
+  EXPECT_EQ(asked.count(fix.sed(2)), 1u);
+  EXPECT_EQ(asked.count(fix.sed(3)), 1u);
+
+  // Its next beacon revives it.
+  fix.census.mute_heartbeats.clear();
+  fix.engine.run_until(fix.engine.now() + 1.5);
+  asked = fix.call();
+  EXPECT_EQ(asked.count(fix.sed(1)), 1u) << "a revived SED was not asked";
+}
+
+TEST(AgentFanout, FollowsRestartsNewServicesNewChildrenAndEvictions) {
+  FanoutFixture fix(/*heartbeat_period=*/0.0);
+  std::set<net::Endpoint> asked = fix.call();
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(asked.count(fix.sed(i)), 1u);
+
+  // Crash-restart: SeD2 comes back under a fresh endpoint.
+  const net::Endpoint old_endpoint = fix.sed(2);
+  fix.deployment->sed(2).fail();
+  fix.deployment->sed(2).restart();
+  fix.engine.run_until(fix.engine.now() + 0.5);
+  ASSERT_NE(fix.sed(2), old_endpoint);
+  asked = fix.call();
+  EXPECT_EQ(asked.count(fix.sed(2)), 1u)
+      << "a restarted SED was not asked at its new endpoint";
+
+  // The hierarchy has no "triple" yet; then a fifth SED brings it (and
+  // "double"). The LA gains a service, the MA must ask it for "triple",
+  // and the LA must ask the newcomer for both services.
+  EXPECT_TRUE(fix.call("triple", /*expect_ok=*/false).empty());
+  ServiceTable extra_services;
+  register_double(extra_services, 1.0);
+  register_double(extra_services, 1.0, "triple");
+  Sed extra(/*uid=*/50, "extra", extra_services, 1.0, 1, SedTuning{}, 9);
+  fix.env.attach(extra, 6);
+  extra.register_at(fix.la().endpoint());
+  fix.engine.run_until(fix.engine.now() + 0.5);
+  asked = fix.call("triple");
+  EXPECT_EQ(asked.count(fix.la().endpoint()), 1u)
+      << "an LA that gained a service was not asked for it";
+  EXPECT_EQ(asked.count(extra.endpoint()), 1u);
+  asked = fix.call();
+  EXPECT_EQ(asked.count(extra.endpoint()), 1u) << "a new SED was not asked";
+  ASSERT_EQ(fix.la().child_count(), 5u);
+
+  // Strikes: SeD3 stays silent, SeD0 is silent, answers once, then is
+  // silent again. SeD3 goes after exactly max_child_timeouts = 2 silent
+  // rounds; SeD0's answer reset its count, so its later silence is one
+  // strike again, not a second one.
+  fix.census.mute_replies = {fix.sed(0), fix.sed(3)};
+  fix.call();
+  EXPECT_EQ(fix.la().child_count(), 5u);
+  fix.census.mute_replies = {fix.sed(3)};
+  asked = fix.call();
+  EXPECT_EQ(asked.count(fix.sed(3)), 1u);
+  EXPECT_EQ(fix.la().child_count(), 4u) << "SeD3 not evicted after 2 strikes";
+  fix.census.mute_replies = {fix.sed(0), fix.sed(3)};
+  asked = fix.call();
+  EXPECT_EQ(asked.count(fix.sed(3)), 0u) << "an evicted SED was asked";
+  EXPECT_EQ(asked.count(fix.sed(0)), 1u);
+  EXPECT_EQ(fix.la().child_count(), 4u)
+      << "SeD0's strike count was not reset when it answered";
+  fix.census.mute_replies.clear();
+
+  // A second agent registers at the MA after "double" was fanned out.
+  class SilentAgent final : public net::Actor {
+   public:
+    void on_message(const net::Envelope&) override {}
+  } late;
+  fix.env.attach(late, 7);
+  AgentRegisterMsg reg;
+  reg.name = "LA-late";
+  reg.services = {"double"};
+  fix.env.send(net::Envelope{late.endpoint(), fix.deployment->ma().endpoint(),
+                             kAgentRegister, reg.encode(), 0});
+  fix.engine.run_until(fix.engine.now() + 0.5);
+  asked = fix.call();
+  EXPECT_EQ(asked.count(late.endpoint()), 1u) << "a new agent was not asked";
 }
 
 TEST(Agents, RealEnvEndToEnd) {

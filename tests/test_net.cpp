@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 
 #include "check/invariant.hpp"
 #include "common/rng.hpp"
@@ -251,6 +252,48 @@ TEST(SimEnv, CountsTraffic) {
   engine.run();
   EXPECT_EQ(env.messages_sent(), 1u);
   EXPECT_EQ(env.bytes_sent(), 200);  // 32 + 68 + 100
+}
+
+// ---------- move-only timers ----------
+// Env timers take des::EventFn, so a continuation may own what it captures
+// (std::function would refuse to compile these lambdas).
+
+/// Raises a flag when destroyed: shows when a timer's capture is released.
+struct ReleaseFlag {
+  explicit ReleaseFlag(std::atomic<bool>& flag) : released(&flag) {}
+  ~ReleaseFlag() { *released = true; }
+  std::atomic<bool>* released;
+};
+
+TEST(SimEnv, MoveOnlyTimerFiresAndCancelReleasesCaptureAtOnce) {
+  des::Engine engine;
+  UniformTopology topology(0.0, 1e9);
+  SimEnv env(engine, topology);
+  int fired = 0;
+  env.post_after(1.0, [&fired, value = std::make_unique<int>(7)] {
+    fired = *value;
+  });
+  std::atomic<bool> released{false};
+  const TimerId id = env.post_after(
+      2.0, [flag = std::make_unique<ReleaseFlag>(released)] {});
+  EXPECT_FALSE(released.load());
+  EXPECT_TRUE(env.cancel_timer(id));
+  EXPECT_TRUE(released.load()) << "cancel_timer kept the capture alive";
+  engine.run();
+  EXPECT_EQ(fired, 7);
+}
+
+TEST(RealEnv, MoveOnlyTimerFires) {
+  UniformTopology topology(0.0, 1e9);
+  RealEnv env(topology);
+  env.start();
+  std::atomic<int> fired{0};
+  env.post_after(0.0, [&fired, value = std::make_unique<int>(7)] {
+    fired = *value;
+  });
+  env.wait_idle();
+  EXPECT_EQ(fired.load(), 7);
+  env.stop();
 }
 
 // ---------- RealEnv ----------

@@ -1,6 +1,12 @@
 // Tests for estimation vectors and scheduling policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <initializer_list>
+#include <string>
+
 #include "common/rng.hpp"
 #include "sched/estimation.hpp"
 #include "sched/policy.hpp"
@@ -232,6 +238,147 @@ TEST(Policy, SingleCandidateUntouched) {
     policy->rank(one, RequestContext{}, rng);
     ASSERT_EQ(one.size(), 1u);
     EXPECT_EQ(one[0].sed_uid, 7u);
+  }
+}
+
+// --- Differential oracle for the key-sorted ranking ----------------------
+// The policies sort (key, index) pairs and move each Candidate once. The
+// oracle below is the whole-Candidate std::stable_sort / std::sort they
+// replaced, with the key formulas copied from policy.cpp; both must
+// produce the identical order and leave the Rng in the identical state.
+
+double oracle_outstanding(const Candidate& c) {
+  return std::max(c.est.agent_assigned, c.est.queue_length);
+}
+
+double oracle_completion(const Candidate& c) {
+  double per_job = c.est.service_comp_s;
+  if (per_job < 0.0) {
+    per_job = c.est.queue_length > 0.0
+                  ? c.est.queued_work_s / c.est.queue_length
+                  : 1.0 / std::max(c.est.host_power, 1e-9);
+  }
+  return std::max(c.est.queued_work_s, oracle_outstanding(c) * per_job) +
+         per_job;
+}
+
+double oracle_data_completion(const Candidate& c) {
+  double xfer = c.est.data_xfer_s;
+  if (xfer <= 0.0 && c.est.data_bytes_to_move > 0.0) {
+    xfer = c.est.data_bytes_to_move / (1e9 / 8.0);
+  }
+  return oracle_completion(c) + xfer;
+}
+
+void oracle_rank(const std::string& policy, std::vector<Candidate>& c,
+                 Rng& rng) {
+  const auto by = [&c](auto key) {
+    std::stable_sort(c.begin(), c.end(),
+                     [key](const Candidate& a, const Candidate& b) {
+                       return key(a) < key(b);
+                     });
+  };
+  if (policy == "default") {
+    for (std::size_t i = c.size(); i > 1; --i) {
+      std::swap(c[i - 1], c[rng.uniform_u64(i)]);
+    }
+    by(oracle_outstanding);
+  } else if (policy == "mct") {
+    by(oracle_completion);
+  } else if (policy == "mct-data") {
+    by(oracle_data_completion);
+  } else if (policy == "fastest") {
+    std::stable_sort(c.begin(), c.end(),
+                     [](const Candidate& a, const Candidate& b) {
+                       return a.est.host_power > b.est.host_power;
+                     });
+  }
+}
+
+/// Unique uids in random order; every estimation field drawn from a tiny
+/// value set so most keys collide and the tie order decides the result.
+std::vector<Candidate> random_candidates(std::size_t n, Rng& gen) {
+  std::vector<std::uint64_t> uids(n);
+  for (std::size_t i = 0; i < n; ++i) uids[i] = 1000 + 7 * i;
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(uids[i - 1], uids[gen.uniform_u64(i)]);
+  }
+  std::vector<Candidate> out;
+  for (const std::uint64_t uid : uids) {
+    const auto pick = [&gen](std::initializer_list<double> values) {
+      return *(values.begin() + gen.uniform_u64(values.size()));
+    };
+    Candidate c = make_candidate(uid, pick({1.0, 2.0}), pick({0.0, 1.0, 2.0}),
+                                 pick({0.0, 1.0, 2.0}),
+                                 pick({-1.0, 5.0, 10.0}));
+    c.est.queued_work_s = pick({0.0, 10.0, 20.0});
+    c.est.data_xfer_s = pick({0.0, 0.0, 1.0});
+    c.est.data_bytes_to_move = pick({0.0, 1.25e8});
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
+void expect_same_order(const std::vector<Candidate>& got,
+                       const std::vector<Candidate>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].sed_uid, want[i].sed_uid) << what << " at " << i;
+    ASSERT_EQ(got[i].sed_name, want[i].sed_name) << what << " at " << i;
+    ASSERT_EQ(got[i].sed_endpoint, want[i].sed_endpoint) << what;
+    const Estimation& a = got[i].est;
+    const Estimation& b = want[i].est;
+    ASSERT_TRUE(a.host_power == b.host_power &&
+                a.queue_length == b.queue_length &&
+                a.queued_work_s == b.queued_work_s &&
+                a.service_comp_s == b.service_comp_s &&
+                a.agent_assigned == b.agent_assigned &&
+                a.data_bytes_to_move == b.data_bytes_to_move &&
+                a.data_xfer_s == b.data_xfer_s)
+        << what << " at " << i;
+  }
+}
+
+TEST(PolicyOracle, KeySortedRankMatchesWholeCandidateStableSort) {
+  Rng gen(2024);
+  for (const std::string name : {"default", "mct", "mct-data", "fastest"}) {
+    auto policy = make_policy(name);
+    for (const std::size_t n : {0u, 1u, 2u, 16u, 1024u}) {
+      for (int trial = 0; trial < 8; ++trial) {
+        const std::vector<Candidate> input = random_candidates(n, gen);
+        std::vector<Candidate> got = input;
+        std::vector<Candidate> want = input;
+        Rng rng_got(77 + static_cast<std::uint64_t>(trial));
+        Rng rng_want = rng_got;
+        policy->rank(got, RequestContext{}, rng_got);
+        oracle_rank(name, want, rng_want);
+        expect_same_order(got, want,
+                          name + " n=" + std::to_string(n) + " trial " +
+                              std::to_string(trial));
+        for (int draw = 0; draw < 4; ++draw) {
+          ASSERT_EQ(rng_got.next_u64(), rng_want.next_u64())
+              << name << ": rank consumed a different Rng stream";
+        }
+      }
+    }
+  }
+}
+
+TEST(PolicyOracle, UidOrderMatchesWholeCandidateSort) {
+  // Agent::finalize puts the collected candidates in uid order before
+  // ranking; uids are unique, so std::sort has exactly one result.
+  Rng gen(5);
+  for (const std::size_t n : {0u, 1u, 2u, 16u, 1024u}) {
+    const std::vector<Candidate> input = random_candidates(n, gen);
+    std::vector<Candidate> got = input;
+    std::vector<Candidate> want = input;
+    order_by_key(got, [](const Candidate& c) { return c.sed_uid; });
+    std::sort(want.begin(), want.end(),
+              [](const Candidate& a, const Candidate& b) {
+                return a.sed_uid < b.sed_uid;
+              });
+    expect_same_order(got, want, "uid n=" + std::to_string(n));
   }
 }
 
