@@ -182,6 +182,21 @@ cmp "$GCP/report1.json" "$GCP/report2.json"
 grep -q '"complete_paths": 23' "$GCP/report1.json"
 grep -q '"violations": \[\]' "$GCP/report1.json"
 
+step "campaign_real smoke (perfbench, 5 s, traced)"
+# The real-numerics campaign with its jobs running side by side on the
+# pool: the only end-to-end check of concurrent jobs against the pinned
+# catalog hash. Every gate (catalog hash, replayed outputs, 1-thread
+# bytes, paper campaign) must pass, so the JSON line must read correct.
+python3 perfbench/run.py --workload campaign_real --seconds 5 --trace 1 \
+  > build/perfbench_campaign_real.txt
+tail -n 1 build/perfbench_campaign_real.txt | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+assert result["correct"] is True, "campaign_real: a perfbench gate failed"
+print("campaign_real correct:", result["attempted"], "calls,",
+      result["failed"], "failed")
+'
+
 step "clang-tidy (src/common + src/des)"
 if command -v clang-tidy >/dev/null 2>&1; then
   # Focused pass over the foundational modules; the GC_CLANG_TIDY=ON

@@ -42,9 +42,12 @@ class ServiceContext {
 
   /// Runs `work` as the service's computation phase. Under the DES the
   /// virtual clock advances by modeled_seconds and `work` then runs
-  /// inline (keep it cheap there); under RealEnv `work` runs on a worker
-  /// thread for however long it takes. `then(work_result)` continues on
-  /// the dispatch context.
+  /// inline at the completion event (keep it cheap there); under RealEnv
+  /// `work` runs on a worker thread for however long it takes.
+  /// `then(work_result)` continues on the dispatch context. Heavy real
+  /// work starts earlier: the real-mode services start their numerics as
+  /// a parallel::Job when the solve function runs and pass a `work` that
+  /// only joins it (workflow/services.cpp).
   virtual void compute(double modeled_seconds, std::function<int()> work,
                        std::function<void(int)> then) = 0;
 

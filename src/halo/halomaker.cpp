@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 
 #include "common/log.hpp"
 #include "common/strings.hpp"
@@ -72,40 +73,72 @@ HaloCatalog find_halos(const ParticleView& particles, double aexp,
   const double ll2 = ll * ll;
 
   // Linked cells: cell size >= ll so friends live in the 27-neighborhood.
-  // One flat counting-sort table: cell c holds slots [start[c], start[c+1])
-  // in ascending particle order, and the positions are copied into slot
-  // order so the pair sweep streams contiguous memory.
+  // Only occupied cells are stored, so the table is O(n) at any ncell:
+  // sorting (cell, particle) pairs gives the slot order, occupied cell c
+  // is `keys[c]` with slots [start[c], start[c+1]) in ascending particle
+  // order, and an open-addressing table maps a cell key back to c. The
+  // positions are copied into slot order so the pair sweep streams
+  // contiguous memory.
   const auto ncell = std::max<std::size_t>(
       1, std::min<std::size_t>(256, static_cast<std::size_t>(1.0 / ll)));
   const double ncd = static_cast<double>(ncell);
-  const std::size_t ncells3 = ncell * ncell * ncell;
   auto cell_index = [&](double x, double y, double z) {
     auto i = std::min(static_cast<std::size_t>(x * ncd), ncell - 1);
     auto j = std::min(static_cast<std::size_t>(y * ncd), ncell - 1);
     auto k = std::min(static_cast<std::size_t>(z * ncd), ncell - 1);
     return static_cast<std::uint32_t>((i * ncell + j) * ncell + k);
   };
-  std::vector<std::uint32_t> cell_of(n);
-  std::vector<std::uint32_t> start(ncells3 + 1, 0);
-  for (std::size_t p = 0; p < n; ++p) {
-    cell_of[p] = cell_index((*particles.x)[p], (*particles.y)[p],
-                            (*particles.z)[p]);
-    ++start[cell_of[p]];
-  }
-  // Running sum to cell ends, then fill backwards so each end walks down
-  // to its cell's start and members stay in ascending particle order.
-  for (std::size_t c = 1; c <= ncells3; ++c) start[c] += start[c - 1];
   std::vector<std::uint32_t> slot_particle(n);
   std::vector<double> sx(n), sy(n), sz(n);
-  for (std::size_t p = n; p-- > 0;) {
-    const std::uint32_t slot = --start[cell_of[p]];
-    slot_particle[slot] = static_cast<std::uint32_t>(p);
-    sx[slot] = (*particles.x)[p];
-    sy[slot] = (*particles.y)[p];
-    sz[slot] = (*particles.z)[p];
+  std::vector<std::uint32_t> keys;
+  std::vector<std::uint32_t> start;
+  {
+    std::vector<std::uint64_t> order(n);  // cell << 32 | particle
+    for (std::size_t p = 0; p < n; ++p) {
+      order[p] = static_cast<std::uint64_t>(cell_index(
+                     (*particles.x)[p], (*particles.y)[p], (*particles.z)[p]))
+                     << 32 |
+                 p;
+    }
+    std::sort(order.begin(), order.end());
+    for (std::size_t slot = 0; slot < n; ++slot) {
+      const auto cell = static_cast<std::uint32_t>(order[slot] >> 32);
+      const auto p = static_cast<std::uint32_t>(order[slot]);
+      if (keys.empty() || keys.back() != cell) {
+        keys.push_back(cell);
+        start.push_back(static_cast<std::uint32_t>(slot));
+      }
+      slot_particle[slot] = p;
+      sx[slot] = (*particles.x)[p];
+      sy[slot] = (*particles.y)[p];
+      sz[slot] = (*particles.z)[p];
+    }
+    start.push_back(static_cast<std::uint32_t>(n));
   }
+  const std::size_t occupied = keys.size();
+  constexpr std::uint32_t kNoCell = 0xffffffffu;
+  int bits = 1;
+  while ((std::size_t{1} << bits) < 2 * occupied) ++bits;
+  const std::size_t mask = (std::size_t{1} << bits) - 1;
+  std::vector<std::uint32_t> lookup(mask + 1, kNoCell);
+  auto bucket = [&](std::uint32_t key) {
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >>
+                                    (64 - bits));
+  };
+  for (std::size_t c = 0; c < occupied; ++c) {
+    std::size_t h = bucket(keys[c]);
+    while (lookup[h] != kNoCell) h = (h + 1) & mask;
+    lookup[h] = static_cast<std::uint32_t>(c);
+  }
+  auto find_cell = [&](std::uint32_t key) {
+    for (std::size_t h = bucket(key); lookup[h] != kNoCell;
+         h = (h + 1) & mask) {
+      if (keys[lookup[h]] == key) return lookup[h];
+    }
+    return kNoCell;
+  };
 
-  // Pair sweep over fixed ranges of the flat cell index, each range
+  // Pair sweep over fixed ranges of the occupied cells, each range
   // building its own union-find; the per-range partitions are folded
   // together afterwards in ascending range order. Connected components are
   // the transitive closure of the pair relation, so the result is
@@ -113,10 +146,10 @@ HaloCatalog find_halos(const ParticleView& particles, double aexp,
   const long nc = static_cast<long>(ncell);
   auto sweep_cells = [&](DisjointSets& sets, std::size_t cell_begin,
                          std::size_t cell_end) {
-    for (std::size_t cell = cell_begin; cell < cell_end; ++cell) {
-      const std::uint32_t home_begin = start[cell];
-      const std::uint32_t home_end = start[cell + 1];
-      if (home_begin == home_end) continue;
+    for (std::size_t c = cell_begin; c < cell_end; ++c) {
+      const std::uint32_t cell = keys[c];
+      const std::uint32_t home_begin = start[c];
+      const std::uint32_t home_end = start[c + 1];
       const long ci = static_cast<long>(cell / (ncell * ncell));
       const long cj = static_cast<long>((cell / ncell) % ncell);
       const long ck = static_cast<long>(cell % ncell);
@@ -132,7 +165,9 @@ HaloCatalog find_halos(const ParticleView& particles, double aexp,
             ((cj + off[1]) % nc + nc) % nc);
         const std::size_t nk = static_cast<std::size_t>(
             ((ck + off[2]) % nc + nc) % nc);
-        const std::size_t other = (ni * ncell + nj) * ncell + nk;
+        const std::uint32_t other =
+            find_cell(static_cast<std::uint32_t>((ni * ncell + nj) * ncell + nk));
+        if (other == kNoCell) continue;
         const std::uint32_t other_end = start[other + 1];
         const bool same = off[0] == 0 && off[1] == 0 && off[2] == 0;
         for (std::uint32_t a = home_begin; a < home_end; ++a) {
@@ -155,38 +190,55 @@ HaloCatalog find_halos(const ParticleView& particles, double aexp,
 
   DisjointSets sets(n);
   const std::size_t cell_grain =
-      std::max<std::size_t>(1, (ncells3 + 7) / 8);  // <= 8 local partitions
-  if (parallel::chunk_count(0, ncells3, cell_grain) <= 1 ||
-      parallel::thread_count() == 1) {
-    sweep_cells(sets, 0, ncells3);
+      std::max<std::size_t>(1, (occupied + 7) / 8);  // <= 8 local partitions
+  const std::size_t nchunks = parallel::chunk_count(0, occupied, cell_grain);
+  if (nchunks <= 1 || parallel::thread_count() == 1 ||
+      parallel::in_parallel_region()) {
+    sweep_cells(sets, 0, occupied);
   } else {
-    std::vector<DisjointSets> partials;
-    const std::size_t nchunks = parallel::chunk_count(0, ncells3, cell_grain);
-    partials.assign(nchunks, DisjointSets(n));
+    std::vector<DisjointSets> partials(nchunks, DisjointSets(n));
     parallel::for_each_chunk(
-        0, ncells3, cell_grain,
+        0, occupied, cell_grain,
         [&](std::size_t c, std::size_t begin, std::size_t end) {
           sweep_cells(partials[c], begin, end);
         });
     for (auto& partial : partials) sets.merge(partial);
   }
 
-  // Collect groups.
-  std::vector<std::vector<std::uint32_t>> groups;
+  // Collect groups, numbered by their lowest member, into one flat list:
+  // group g holds members[group_start[g]..group_start[g+1]) in ascending
+  // particle order.
+  std::vector<std::uint32_t> group_start;
+  std::vector<std::uint32_t> members_flat(n);
   {
-    std::vector<std::int64_t> group_of(n, -1);
+    constexpr std::uint32_t kNoGroup = 0xffffffffu;
+    std::vector<std::uint32_t> group_of(n, kNoGroup);  // by root
+    std::vector<std::uint32_t> particle_group(n);
     for (std::size_t p = 0; p < n; ++p) {
       const std::size_t root = sets.find(p);
-      if (group_of[root] < 0) {
-        group_of[root] = static_cast<std::int64_t>(groups.size());
-        groups.emplace_back();
+      if (group_of[root] == kNoGroup) {
+        group_of[root] = static_cast<std::uint32_t>(group_start.size());
+        group_start.push_back(0);
       }
-      groups[static_cast<std::size_t>(group_of[root])].push_back(
-          static_cast<std::uint32_t>(p));
+      particle_group[p] = group_of[root];
+      ++group_start[group_of[root]];
     }
+    // Running sum to group ends, then fill backwards so each end walks
+    // down to its group's start.
+    for (std::size_t g = 1; g < group_start.size(); ++g) {
+      group_start[g] += group_start[g - 1];
+    }
+    for (std::size_t p = n; p-- > 0;) {
+      members_flat[--group_start[particle_group[p]]] =
+          static_cast<std::uint32_t>(p);
+    }
+    group_start.push_back(static_cast<std::uint32_t>(n));
   }
 
-  for (const auto& members : groups) {
+  for (std::size_t g = 0; g + 1 < group_start.size(); ++g) {
+    const std::span<const std::uint32_t> members(
+        members_flat.data() + group_start[g],
+        group_start[g + 1] - group_start[g]);
     if (members.size() < options.min_npart) continue;
     Halo halo;
     halo.npart = members.size();

@@ -87,7 +87,9 @@ class Env {
 
   /// Runs `work` as a computation on `node` that occupies `modeled_seconds`
   /// of that node's time. SimEnv advances the virtual clock and then runs
-  /// `work` inline (services pass cheap synthetic work in simulation);
+  /// `work` inline at the completion event (services pass cheap synthetic
+  /// work in simulation; real-mode services start their numerics on the
+  /// thread pool at solve time and pass a `work` that joins them);
   /// RealEnv runs `work` on a worker thread and takes as long as it takes.
   /// `done(result)` is dispatched afterwards on the dispatch context.
   virtual void execute(NodeId node, double modeled_seconds,

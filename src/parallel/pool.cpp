@@ -1,8 +1,10 @@
 #include "parallel/pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
+#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -58,6 +60,23 @@ struct Region {
   std::exception_ptr error;         ///< first failure, guarded by m
 };
 
+}  // namespace
+
+/// One job queued by `start`. `claimed` is guarded by the pool's queue
+/// mutex; the outcome by `m` (role "pool.job"). The two are never held
+/// together.
+struct JobState {
+  std::function<int()> fn;  ///< released once the job has run
+  bool claimed = false;     ///< a thread took it (or its owner cancelled it)
+  std::mutex m;
+  std::condition_variable cv_done;
+  bool done = false;
+  int result = 0;
+  std::exception_ptr error;
+};
+
+namespace {
+
 class Pool {
  public:
   static Pool& instance() {
@@ -65,10 +84,9 @@ class Pool {
     return pool;
   }
 
-  std::size_t threads() {
-    GC_TRACKED_LOCK(lock, config_mutex_, "pool.config");
-    return threads_;
-  }
+  /// Lock-free so a job running on a worker can read it while resize()
+  /// holds the config lock and waits for that worker.
+  std::size_t threads() const { return threads_.load(); }
 
   void resize(std::size_t n) {
     GC_TRACKED_LOCK(config, config_mutex_, "pool.config");
@@ -78,10 +96,69 @@ class Pool {
     // Cap absurd requests (negative CLI values cast to size_t, runaway
     // GC_THREADS) — beyond this, more workers only add contention.
     if (n > kMaxThreads) n = kMaxThreads;
-    if (n == threads_) return;
-    stop_workers();
+    if (n == threads_.load()) return;
+    stop_workers();  // queued jobs stay queued for the new workers
     threads_ = n;
     spawn_workers();
+  }
+
+  void enqueue(const std::shared_ptr<JobState>& job) {
+    {
+      GC_TRACKED_LOCK(lock, mutex_, "pool.queue");
+      jobs_.push_back(job);
+    }
+    cv_work_.notify_one();
+  }
+
+  /// Claims `job` for the calling thread; false if another thread holds
+  /// it already. A claimed job leaves the queue.
+  bool claim(JobState& job) {
+    GC_TRACKED_LOCK(lock, mutex_, "pool.queue");
+    if (job.claimed) return false;
+    job.claimed = true;
+    const auto it = std::find_if(
+        jobs_.begin(), jobs_.end(),
+        [&](const std::shared_ptr<JobState>& q) { return q.get() == &job; });
+    if (it != jobs_.end()) jobs_.erase(it);
+    return true;
+  }
+
+  /// Claims the oldest queued job, if any.
+  std::shared_ptr<JobState> claim_next() {
+    GC_TRACKED_LOCK(lock, mutex_, "pool.queue");
+    return pop_job();
+  }
+
+  /// Runs a claimed job and publishes its outcome. As a worker runs it,
+  /// its nested regions run inline.
+  static void run_job(JobState& job, bool regions_inline) {
+    const bool was_in_region = tls_in_region;
+    tls_in_region = was_in_region || regions_inline;
+    int result = 0;
+    std::exception_ptr error;
+    try {
+      result = job.fn();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    tls_in_region = was_in_region;
+    job.fn = nullptr;  // drop the captured inputs now, not at the last handle
+    GC_TRACKED_LOCK(lock, job.m, "pool.job");
+    job.done = true;
+    job.result = result;
+    job.error = error;
+    job.cv_done.notify_all();
+  }
+
+  static bool finished(JobState& job) {
+    GC_TRACKED_LOCK(lock, job.m, "pool.job");
+    return job.done;
+  }
+
+  static void block_until_done(JobState& job) {
+    check::LockTracker tracker("pool.job", __FILE__, __LINE__);
+    std::unique_lock<std::mutex> lock(job.m);
+    job.cv_done.wait(lock, [&] { return job.done; });
   }
 
   void run(std::size_t nchunks, const std::function<void(std::size_t)>& fn) {
@@ -144,19 +221,38 @@ class Pool {
     workers_.clear();
   }
 
+  /// Caller holds mutex_.
+  std::shared_ptr<JobState> pop_job() {
+    if (jobs_.empty()) return nullptr;
+    std::shared_ptr<JobState> job = std::move(jobs_.front());
+    jobs_.pop_front();
+    job->claimed = true;
+    return job;
+  }
+
+  /// Regions come first: their caller is blocked on them, while a job's
+  /// owner only waits at its virtual completion.
   void worker_loop() {
     std::uint64_t seen = 0;
     for (;;) {
       std::shared_ptr<Region> region;
+      std::shared_ptr<JobState> job;
       {
         check::LockTracker tracker("pool.queue", __FILE__, __LINE__);
         std::unique_lock<std::mutex> lock(mutex_);
-        cv_work_.wait(lock, [&] { return stop_ || epoch_ != seen; });
+        cv_work_.wait(lock, [&] {
+          return stop_ || epoch_ != seen || !jobs_.empty();
+        });
         if (stop_) return;
-        seen = epoch_;
-        region = region_;
+        if (epoch_ != seen) {
+          seen = epoch_;
+          region = region_;
+        } else {
+          job = pop_job();
+        }
       }
       if (region) execute(*region);
+      if (job) run_job(*job, /*regions_inline=*/true);
     }
   }
 
@@ -194,15 +290,16 @@ class Pool {
     tls_in_region = was_in_region;
   }
 
-  std::mutex config_mutex_;   ///< guards threads_ against concurrent resize
+  std::mutex config_mutex_;   ///< serializes resize() calls
   std::mutex submit_mutex_;   ///< one region at a time
-  std::mutex mutex_;          ///< guards region_/epoch_/stop_ for workers
+  std::mutex mutex_;          ///< guards region_/epoch_/stop_/jobs_
   std::condition_variable cv_work_;
   std::vector<std::thread> workers_;
   std::shared_ptr<Region> region_;
+  std::deque<std::shared_ptr<JobState>> jobs_;  ///< unclaimed, oldest first
   std::uint64_t epoch_ = 0;
   bool stop_ = false;
-  std::size_t threads_ = 1;
+  std::atomic<std::size_t> threads_{1};
 };
 
 }  // namespace
@@ -227,6 +324,46 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
     const std::size_t e = b + g < end ? b + g : end;
     fn(b, e);
   });
+}
+
+/// Shared by every copy of a Job handle; its destructor is the drop rule.
+struct Job::Owner {
+  std::shared_ptr<JobState> state;
+
+  ~Owner() {
+    if (Pool::instance().claim(*state)) {
+      state->fn = nullptr;  // cancelled: never runs
+    } else {
+      Pool::block_until_done(*state);
+    }
+  }
+};
+
+Job start(std::function<int()> fn) {
+  auto state = std::make_shared<JobState>();
+  state->fn = std::move(fn);
+  Job job;
+  job.owner_ = std::make_shared<Job::Owner>();
+  job.owner_->state = state;
+  if (!tls_in_region && thread_count() > 1) Pool::instance().enqueue(state);
+  return job;
+}
+
+int Job::wait() const {
+  JobState& state = *owner_->state;
+  Pool& pool = Pool::instance();
+  if (pool.claim(state)) {
+    Pool::run_job(state, /*regions_inline=*/false);
+  } else {
+    while (!Pool::finished(state)) {
+      const std::shared_ptr<JobState> other = pool.claim_next();
+      if (!other) break;
+      Pool::run_job(*other, /*regions_inline=*/true);
+    }
+    Pool::block_until_done(state);
+  }
+  if (state.error) std::rethrow_exception(state.error);
+  return state.result;
 }
 
 std::size_t for_each_chunk(

@@ -23,10 +23,16 @@
 // Nesting: a parallel region entered from inside a pool worker (or from a
 // chunk the caller is executing) runs inline and serial on that thread —
 // same arithmetic as the 1-thread path, no deadlock, no oversubscription.
+//
+// Jobs: `start(fn)` queues a whole independent computation (one real-mode
+// RAMSES run) to the same workers, so several jobs proceed side by side.
+// A worker runs a job's nested regions inline — the serial path above, so
+// a job's bytes do not depend on where it ran. `wait()` joins it.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <vector>
 
 namespace gc::parallel {
@@ -84,7 +90,33 @@ T parallel_reduce(std::size_t begin, std::size_t end, std::size_t grain,
 }
 
 /// True while the current thread is executing inside a parallel region
-/// (worker or participating caller); nested regions run inline then.
+/// (worker or participating caller) or a job on a worker; nested regions
+/// run inline then.
 bool in_parallel_region();
+
+struct JobState;
+
+/// Handle on a job queued by `start`. Copies share the job. When the last
+/// copy goes away without a wait(), a job no worker has claimed is
+/// cancelled and a running one is waited for: no job outlives its owner.
+class Job {
+ public:
+  Job() = default;
+
+  /// The job's result. Runs the job here, with normal parallel regions,
+  /// if no worker has claimed it yet; otherwise runs other queued jobs
+  /// while it lasts, then blocks. Rethrows the job's exception.
+  int wait() const;
+
+ private:
+  friend Job start(std::function<int()> fn);
+  struct Owner;
+  std::shared_ptr<Owner> owner_;
+};
+
+/// Queues `fn` to the pool workers and returns at once. With one thread,
+/// or when called from inside a region or a job, nothing is queued and
+/// `fn` runs at wait() on the waiting thread — the serial order.
+Job start(std::function<int()> fn);
 
 }  // namespace gc::parallel

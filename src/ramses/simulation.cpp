@@ -182,6 +182,20 @@ double courant_da(const ParticleSet& particles,
 
 RunResult run_simulation(const RunParams& params,
                          const StepCallback& on_step) {
+  std::vector<Snapshot> snapshots;
+  RunResult result = run_simulation(
+      params,
+      [&](double aexp, const ParticleSet& particles) {
+        snapshots.push_back(make_snapshot(params, aexp, particles));
+      },
+      on_step);
+  result.snapshots = std::move(snapshots);
+  return result;
+}
+
+RunResult run_simulation(const RunParams& params,
+                         const OutputCallback& on_output,
+                         const StepCallback& on_step) {
   const cosmo::Cosmology cosmology(params.cosmology);
   PmSolver solver(cosmology, {params.pm_grid, params.cosmology.omega_m});
 
@@ -232,8 +246,7 @@ RunResult run_simulation(const RunParams& params,
     }
     if (on_step) on_step(i, a1, particles);
     while (next_out < aout.size() && a1 >= aout[next_out] - 1e-12) {
-      result.snapshots.push_back(
-          make_snapshot(params, aout[next_out], particles));
+      if (on_output) on_output(aout[next_out], particles);
       ++next_out;
     }
   }

@@ -55,8 +55,18 @@ struct RunResult {
 using StepCallback =
     std::function<void(int step, double a, const ParticleSet&)>;
 
-/// Serial run.
+/// Sees the live particle set at each output expansion factor, in order.
+using OutputCallback = std::function<void(double aexp, const ParticleSet&)>;
+
+/// Serial run; every output is retained in RunResult::snapshots.
 RunResult run_simulation(const RunParams& params,
+                         const StepCallback& on_step = nullptr);
+
+/// Serial run that streams its outputs to `on_output` instead of keeping
+/// them (RunResult::snapshots stays empty): a consumer that reduces each
+/// output at once holds one particle set, not one per output.
+RunResult run_simulation(const RunParams& params,
+                         const OutputCallback& on_output,
                          const StepCallback& on_step = nullptr);
 
 /// Parallel run over `nranks` MiniMPI ranks (threads). Results are

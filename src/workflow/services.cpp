@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <memory>
 
 #include "common/log.hpp"
 #include "common/strings.hpp"
@@ -12,6 +11,7 @@
 #include "halo/halomaker.hpp"
 #include "io/namelist.hpp"
 #include "io/tar.hpp"
+#include "parallel/pool.hpp"
 #include "ramses/pm.hpp"
 #include "ramses/simulation.hpp"
 #include "tree/treemaker.hpp"
@@ -118,8 +118,12 @@ ramses::RunParams real_params(const ZoomArgs& args,
   return params;
 }
 
+/// Mints the next job directory under the SED's work area and creates it.
+/// Called on the dispatch thread when the solve function runs, so the id
+/// follows the deterministic solve order, never the order in which
+/// concurrent computations happen to finish.
 std::string job_dir(const ServiceOptions& options,
-                    diet::ServiceContext& ctx) {
+                    const std::string& sed_name) {
   const std::uint64_t id = g_job_counter.fetch_add(1);
   // Fixed-width id: the directory name rides the wire as a file-path
   // argument, so its length must not depend on how many jobs ran before
@@ -127,26 +131,25 @@ std::string job_dir(const ServiceOptions& options,
   char tag[24];
   std::snprintf(tag, sizeof(tag), "job_%08llu",
                 static_cast<unsigned long long>(id));
-  std::string dir = options.work_dir + "/" + ctx.sed_name() + "/" + tag;
+  std::string dir = options.work_dir + "/" + sed_name + "/" + tag;
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   return dir;
 }
 
-halo::ParticleView view_of(const ramses::Snapshot& snap,
-                           std::vector<double>& vx, std::vector<double>& vy,
-                           std::vector<double>& vz) {
-  const ramses::ParticleSet& p = snap.particles;
-  vx.resize(p.size());
-  vy.resize(p.size());
-  vz.resize(p.size());
+/// FoF on one output of a run: the live particle set, with velocities
+/// converted to km/s.
+halo::HaloCatalog find_halos_at(const ramses::ParticleSet& p, double aexp,
+                                double box_mpc) {
+  std::vector<double> vx(p.size()), vy(p.size()), vz(p.size());
   for (std::size_t i = 0; i < p.size(); ++i) {
-    vx[i] = ramses::kms_from_momentum(p.px[i], snap.aexp, snap.box_mpc);
-    vy[i] = ramses::kms_from_momentum(p.py[i], snap.aexp, snap.box_mpc);
-    vz[i] = ramses::kms_from_momentum(p.pz[i], snap.aexp, snap.box_mpc);
+    vx[i] = ramses::kms_from_momentum(p.px[i], aexp, box_mpc);
+    vy[i] = ramses::kms_from_momentum(p.py[i], aexp, box_mpc);
+    vz[i] = ramses::kms_from_momentum(p.pz[i], aexp, box_mpc);
   }
-  return halo::ParticleView{&p.x,  &p.y,  &p.z, &vx,
-                            &vy,   &vz,   &p.mass, &p.id};
+  return halo::find_halos(
+      halo::ParticleView{&p.x, &p.y, &p.z, &vx, &vy, &vz, &p.mass, &p.id},
+      aexp, box_mpc, halo::FofOptions{0.2, 8});
 }
 
 /// Fabricates a plausible halo catalog (sim mode): power-law masses,
@@ -185,42 +188,41 @@ halo::HaloCatalog fabricate_catalog(int count, int resolution, Rng& rng) {
   return catalog;
 }
 
-int real_zoom1(const ZoomArgs& args, const ServiceOptions& options,
-               diet::ServiceContext& ctx, std::string* catalog_path) {
-  const ramses::RunParams params = real_params(args, options, 1000);
-  const ramses::RunResult result = ramses::run_simulation(params);
-  if (result.snapshots.empty()) return 2;
-  const ramses::Snapshot& final_snap = result.snapshots.back();
-  std::vector<double> vx, vy, vz;
-  const halo::HaloCatalog catalog =
-      halo::find_halos(view_of(final_snap, vx, vy, vz), final_snap.aexp,
-                       final_snap.box_mpc, halo::FofOptions{0.2, 8});
-  const std::string dir = job_dir(options, ctx);
-  *catalog_path = dir + "/halo_catalog.bin";
-  if (!halo::write_catalog(*catalog_path, catalog).is_ok()) return 3;
+// The real-mode numerics. They run as pool jobs, possibly on a worker
+// thread while the dispatch thread serves other calls, so they take their
+// inputs by value and touch nothing but the files under their own job
+// directory.
+
+int real_zoom1(const ramses::RunParams& params,
+               const std::string& catalog_path) {
+  // Only the final output is searched for halos.
+  halo::HaloCatalog catalog;
+  bool found = false;
+  ramses::run_simulation(
+      params, [&](double aexp, const ramses::ParticleSet& particles) {
+        if (aexp < params.a_end) return;
+        catalog = find_halos_at(particles, aexp, params.box_mpc);
+        found = true;
+      });
+  if (!found) return 2;
+  if (!halo::write_catalog(catalog_path, catalog).is_ok()) return 3;
   return 0;
 }
 
-int real_zoom2(const ZoomArgs& args, const ServiceOptions& options,
-               diet::ServiceContext& ctx, std::string* tar_path) {
-  const ramses::RunParams params =
-      real_params(args, options, 2000 + static_cast<std::uint64_t>(args.cx));
-  const ramses::RunResult result = ramses::run_simulation(params);
-  if (result.snapshots.empty()) return 2;
-
-  // GALICS post-processing chain over the snapshots.
+int real_zoom2(const ramses::RunParams& params, const ZoomArgs& args,
+               const std::string& tar_path) {
+  // GALICS post-processing chain: a halo catalog per output, found on the
+  // live particle set as the run reaches it.
   std::vector<halo::HaloCatalog> catalogs;
-  for (const ramses::Snapshot& snap : result.snapshots) {
-    std::vector<double> vx, vy, vz;
-    catalogs.push_back(halo::find_halos(view_of(snap, vx, vy, vz), snap.aexp,
-                                        snap.box_mpc,
-                                        halo::FofOptions{0.2, 8}));
-  }
+  ramses::run_simulation(
+      params, [&](double aexp, const ramses::ParticleSet& particles) {
+        catalogs.push_back(find_halos_at(particles, aexp, params.box_mpc));
+      });
+  if (catalogs.empty()) return 2;
   const tree::MergerForest forest = tree::build_forest(catalogs);
   const cosmo::Cosmology cosmology(params.cosmology);
   const auto galaxy_catalogs = galaxy::run_sam(forest, cosmology);
 
-  const std::string dir = job_dir(options, ctx);
   io::TarWriter tar;
   auto status = tar.add_text("README.txt",
                              strformat("ramsesZoom2 results (resolution %d, "
@@ -235,8 +237,7 @@ int real_zoom2(const ZoomArgs& args, const ServiceOptions& options,
                           galaxy::catalog_to_text(galaxy_catalogs.back()));
   }
   if (!status.is_ok()) return 3;
-  *tar_path = dir + "/results.tar";
-  if (!tar.write(*tar_path).is_ok()) return 3;
+  if (!tar.write(tar_path).is_ok()) return 3;
   return 0;
 }
 
@@ -299,14 +300,18 @@ gc::Status register_services(diet::ServiceTable& table,
         cost.zoom1_work(spec_of(a)), ctx.host_power(), ctx.machines(),
         ctx.rng());
 
-    auto catalog_path = std::make_shared<std::string>();
+    const std::string catalog_path =
+        job_dir(opts, ctx.sed_name()) + "/halo_catalog.bin";
     std::function<int()> work;
     if (opts.mode == ServiceMode::kReal) {
-      work = [a, opts, &ctx, catalog_path]() {
-        return real_zoom1(a, opts, ctx, catalog_path.get());
-      };
+      // Start the numerics now, on the pool; the virtual completion joins.
+      const parallel::Job job = parallel::start(
+          [params = real_params(a, opts, 1000), catalog_path] {
+            return real_zoom1(params, catalog_path);
+          });
+      work = [job] { return job.wait(); };
     } else {
-      work = [a, opts, &ctx, catalog_path]() {
+      work = [a, opts, catalog_path]() {
         // The catalog is science output: derive it from the request's
         // inputs alone, never from the SED's draw history — a retried or
         // rescheduled call must fabricate the identical catalog on any
@@ -316,9 +321,7 @@ gc::Status register_services(diet::ServiceTable& table,
                         static_cast<std::uint64_t>(opts.sim_min_halos));
         const halo::HaloCatalog catalog = fabricate_catalog(
             opts.sim_min_halos, a.resolution, catalog_rng);
-        const std::string dir = job_dir(opts, ctx);
-        *catalog_path = dir + "/halo_catalog.bin";
-        return halo::write_catalog(*catalog_path, catalog).is_ok() ? 0 : 3;
+        return halo::write_catalog(catalog_path, catalog).is_ok() ? 0 : 3;
       };
     }
     ctx.compute(modeled, std::move(work), [&ctx, opts, catalog_path](int rc) {
@@ -333,7 +336,7 @@ gc::Status register_services(diet::ServiceTable& table,
             opts.output_mode == Persistence::kPersistent
                 ? Persistence::kPersistentReturn
                 : opts.output_mode;
-        profile.arg(3).set_file(*catalog_path, zoom1_mode, modeled_bytes);
+        profile.arg(3).set_file(catalog_path, zoom1_mode, modeled_bytes);
       }
       profile.arg(4).set_scalar<std::int32_t>(rc, BaseType::kInt,
                                               Persistence::kVolatile);
@@ -354,14 +357,17 @@ gc::Status register_services(diet::ServiceTable& table,
         cost.zoom2_work(spec_of(a)), ctx.host_power(), ctx.machines(),
         ctx.rng());
 
-    auto tar_path = std::make_shared<std::string>();
+    const std::string tar_path =
+        job_dir(opts, ctx.sed_name()) + "/results.tar";
     std::function<int()> work;
     if (opts.mode == ServiceMode::kReal) {
-      work = [a, opts, &ctx, tar_path]() {
-        return real_zoom2(a, opts, ctx, tar_path.get());
-      };
+      const parallel::Job job = parallel::start(
+          [params = real_params(
+               a, opts, 2000 + static_cast<std::uint64_t>(a.cx)),
+           a, tar_path] { return real_zoom2(params, a, tar_path); });
+      work = [job] { return job.wait(); };
     } else {
-      work = [a, opts, &ctx, tar_path]() {
+      work = [a, tar_path]() {
         io::TarWriter tar;
         auto status = tar.add_text(
             "README.txt",
@@ -369,9 +375,7 @@ gc::Status register_services(diet::ServiceTable& table,
                       "%d,%d,%d, %d boxes)\n",
                       a.resolution, a.cx, a.cy, a.cz, a.nb_box));
         if (!status.is_ok()) return 3;
-        const std::string dir = job_dir(opts, ctx);
-        *tar_path = dir + "/results.tar";
-        return tar.write(*tar_path).is_ok() ? 0 : 3;
+        return tar.write(tar_path).is_ok() ? 0 : 3;
       };
     }
     ctx.compute(modeled, std::move(work), [&ctx, opts, tar_path](int rc) {
@@ -379,7 +383,7 @@ gc::Status register_services(diet::ServiceTable& table,
       if (rc == 0) {
         const std::int64_t modeled_bytes =
             opts.mode == ServiceMode::kSim ? opts.tarball_bytes : -1;
-        profile.arg(7).set_file(*tar_path, opts.output_mode,
+        profile.arg(7).set_file(tar_path, opts.output_mode,
                                 modeled_bytes);
       }
       profile.arg(8).set_scalar<std::int32_t>(rc, BaseType::kInt,

@@ -23,7 +23,10 @@
 // Two execution modes share the registration code:
 //   kReal : the solve functions actually run GRAFIC -> PM/N-body ->
 //           HaloMaker -> TreeMaker -> GalaxyMaker and tar the results
-//           (examples; laptop-scale resolutions);
+//           (examples; laptop-scale resolutions). The numerics start as a
+//           parallel::Job when the solve function runs and are joined at
+//           the call's completion, so calls in flight on different SEDs
+//           compute side by side;
 //   kSim  : the solve functions charge the calibrated cost model to the
 //           virtual clock and fabricate statistically-plausible outputs
 //           (the Grid'5000-scale benches).

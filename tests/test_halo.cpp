@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <set>
 
 #include "common/rng.hpp"
 #include "halo/halomaker.hpp"
@@ -475,6 +476,67 @@ TEST(FofOracle, TinyInputsWithAliasedStencil) {
                         reference_find_halos(p, options),
                         "n=" + std::to_string(n));
   }
+}
+
+TEST(FofOracle, ClusteredZoomLikeInputOccupiesUnderOnePercentOfCells) {
+  // A zoom snapshot: dense clumps in a sparse box. At n = 4000 the cell
+  // side makes ncell = 79, and the clumps touch far fewer than 1% of the
+  // 79^3 cells — the case the occupied-cell table is for.
+  Rng rng(13);
+  Particles p;
+  for (int clump = 0; clump < 12; ++clump) {
+    p.blob(rng, rng.uniform(), rng.uniform(), rng.uniform(), 300, 0.006);
+  }
+  for (int i = 0; i < 400; ++i) {
+    p.add(rng.uniform(), rng.uniform(), rng.uniform());
+  }
+  const FofOptions options{0.2, 8};
+  const double ll = options.linking_factor / std::cbrt(static_cast<double>(p.x.size()));
+  const auto ncell = static_cast<std::size_t>(1.0 / ll);
+  ASSERT_LT(ncell, 256u);
+  std::set<std::size_t> occupied;
+  for (std::size_t i = 0; i < p.x.size(); ++i) {
+    auto at = [&](double v) {
+      return std::min(static_cast<std::size_t>(v * static_cast<double>(ncell)),
+                      ncell - 1);
+    };
+    occupied.insert((at(p.x[i]) * ncell + at(p.y[i])) * ncell + at(p.z[i]));
+  }
+  EXPECT_LT(static_cast<double>(occupied.size()),
+            0.01 * static_cast<double>(ncell * ncell * ncell));
+  const HaloCatalog want = reference_find_halos(p, options);
+  EXPECT_GE(want.halos.size(), 10u);
+  for (const std::size_t threads : {1, 4}) {
+    parallel::set_thread_count(threads);
+    expect_same_catalog(find_halos(p.view(), 1.0, 100.0, options), want,
+                        "threads=" + std::to_string(threads));
+  }
+  parallel::set_thread_count(0);
+}
+
+TEST(FofOracle, LinkingLengthBelowTheCellCap) {
+  // b = 0.05 at n = 3000 asks for 288 cells a side; the table stops at
+  // 256, so cells are wider than the linking length and the stencil must
+  // still find every pair.
+  Rng rng(14);
+  Particles p;
+  for (int clump = 0; clump < 20; ++clump) {
+    p.blob(rng, rng.uniform(), rng.uniform(), rng.uniform(), 100, 0.0015);
+  }
+  for (int i = 0; i < 1000; ++i) {
+    p.add(rng.uniform(), rng.uniform(), rng.uniform());
+  }
+  const FofOptions options{0.05, 5};
+  const double ll = options.linking_factor / std::cbrt(static_cast<double>(p.x.size()));
+  ASSERT_GT(1.0 / ll, 256.0);
+  const HaloCatalog want = reference_find_halos(p, options);
+  EXPECT_GE(want.halos.size(), 10u);
+  for (const std::size_t threads : {1, 4}) {
+    parallel::set_thread_count(threads);
+    expect_same_catalog(find_halos(p.view(), 1.0, 100.0, options), want,
+                        "threads=" + std::to_string(threads));
+  }
+  parallel::set_thread_count(0);
 }
 
 }  // namespace

@@ -599,6 +599,46 @@ TEST(Simulation, StepCallbackInvoked) {
   EXPECT_EQ(calls, 8);
 }
 
+/// memcmp of every array a snapshot carries.
+bool same_bytes(const ParticleSet& a, const ParticleSet& b) {
+  auto same = [](const auto& u, const auto& v) {
+    using T = typename std::decay_t<decltype(u)>::value_type;
+    return u.size() == v.size() &&
+           (u.empty() ||
+            std::memcmp(u.data(), v.data(), u.size() * sizeof(T)) == 0);
+  };
+  return same(a.x, b.x) && same(a.y, b.y) && same(a.z, b.z) &&
+         same(a.px, b.px) && same(a.py, b.py) && same(a.pz, b.pz) &&
+         same(a.mass, b.mass) && same(a.id, b.id) && same(a.level, b.level);
+}
+
+TEST(Simulation, OutputCallbackStreamsTheRetainedSnapshots) {
+  RunParams zoom = tiny_run();
+  zoom.aout = {0.3, 0.6};
+  zoom.zoom_levels = 2;
+  zoom.zoom_centre = {40.0, 55.0, 70.0};
+  for (const RunParams& params : {tiny_run(), zoom}) {
+    const RunResult retained = run_simulation(params);
+    std::vector<double> aexps;
+    std::vector<ParticleSet> streamed;
+    const RunResult streaming = run_simulation(
+        params, [&](double aexp, const ParticleSet& particles) {
+          aexps.push_back(aexp);
+          streamed.push_back(particles);
+        });
+    EXPECT_TRUE(streaming.snapshots.empty());
+    EXPECT_EQ(streaming.particle_count, retained.particle_count);
+    EXPECT_EQ(streaming.steps_taken, retained.steps_taken);
+    ASSERT_EQ(streamed.size(), retained.snapshots.size());
+    for (std::size_t s = 0; s < streamed.size(); ++s) {
+      const Snapshot& snap = retained.snapshots[s];
+      EXPECT_EQ(std::memcmp(&aexps[s], &snap.aexp, sizeof(double)), 0);
+      EXPECT_TRUE(same_bytes(streamed[s], snap.particles))
+          << "zoom_levels=" << params.zoom_levels << " output " << s;
+    }
+  }
+}
+
 TEST(Simulation, AdaptiveSteppingSubdivides) {
   RunParams params = tiny_run();
   params.adaptive = true;

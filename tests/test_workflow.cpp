@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "des/engine.hpp"
 #include "diet/client.hpp"
@@ -14,6 +15,7 @@
 #include "io/tar.hpp"
 #include "naming/registry.hpp"
 #include "net/simenv.hpp"
+#include "parallel/pool.hpp"
 #include "workflow/campaign.hpp"
 #include "workflow/services.hpp"
 
@@ -89,23 +91,28 @@ TEST(Services, EstimatorFillsCompTime) {
   EXPECT_GT(est_slow.service_comp_s, est.service_comp_s);
 }
 
-/// One-SED DES harness that runs a single service call to completion.
+/// DES harness: one LA over `seds` SEDs; call() runs a single service
+/// call to completion.
 struct MiniGrid {
-  MiniGrid(const ServiceOptions& options)
+  explicit MiniGrid(const ServiceOptions& options, int seds = 1,
+                    std::uint64_t tie_seed = 0)
       : topology(1e-3, 1.25e8), env(engine, topology) {
+    engine.set_tie_break_seed(tie_seed);
     GC_CHECK(register_services(services, options).is_ok());
     diet::DeploymentSpec spec;
     spec.ma_node = 0;
     diet::DeploymentSpec::LaSpec la;
     la.name = "LA";
     la.node = 1;
-    diet::DeploymentSpec::SedSpec sed;
-    sed.name = "SeD-test";
-    sed.node = 2;
-    sed.host_power = 1.3;
-    sed.machines = 16;
-    la.sed_indexes.push_back(0);
-    spec.seds.push_back(sed);
+    for (int i = 0; i < seds; ++i) {
+      diet::DeploymentSpec::SedSpec sed;
+      sed.name = i == 0 ? "SeD-test" : "SeD-test" + std::to_string(i);
+      sed.node = static_cast<net::NodeId>(2 + i);
+      sed.host_power = 1.3;
+      sed.machines = 16;
+      la.sed_indexes.push_back(static_cast<std::size_t>(i));
+      spec.seds.push_back(sed);
+    }
     spec.las.push_back(la);
     deployment =
         std::make_unique<diet::Deployment>(env, registry, services, spec);
@@ -256,6 +263,98 @@ TEST(Services, RealModeZoom2ProducesGalaxyTar) {
   }
   EXPECT_TRUE(has_galaxies);
   std::filesystem::remove_all(options.work_dir);
+}
+
+/// The Section-5 client at laptop scale on four SEDs: one real
+/// ramsesZoom1, then four ramsesZoom2 at once, all on the shared pool at
+/// `threads` threads. Returns every returned file path relative to the
+/// work directory, zoom1 first, then zoom2 in submission order.
+std::vector<std::string> run_real_campaign(const std::string& work_dir,
+                                           std::size_t threads,
+                                           std::uint64_t tie_seed) {
+  parallel::set_thread_count(threads);
+  ServiceOptions options;
+  options.mode = ServiceMode::kReal;
+  options.work_dir = work_dir;
+  options.real_max_resolution = 8;
+  options.real_steps = 6;
+  MiniGrid grid(options, 4, tie_seed);
+  constexpr int kCentres[4][3] = {
+      {32, 64, 96}, {64, 64, 64}, {96, 32, 64}, {16, 100, 50}};
+  std::vector<std::string> paths(5);
+  grid.client.call_async(
+      make_zoom1_profile("/none.nml", 4096, 128, 100),
+      [&](const gc::Status& status, diet::Profile& p) {
+        ASSERT_TRUE(status.is_ok()) << status.to_string();
+        paths[0] = p.arg(3).get_file().value().path;
+        for (int i = 0; i < 4; ++i) {
+          const auto& c = kCentres[i];
+          grid.client.call_async(
+              make_zoom2_profile("/none.nml", 4096, 128, 100, c[0], c[1],
+                                 c[2], 2),
+              [&paths, i](const gc::Status& s, diet::Profile& q) {
+                ASSERT_TRUE(s.is_ok()) << s.to_string();
+                paths[static_cast<std::size_t>(i) + 1] =
+                    q.arg(7).get_file().value().path;
+              });
+        }
+      });
+  grid.engine.run();
+  parallel::set_thread_count(0);
+  for (std::string& path : paths) {
+    EXPECT_EQ(path.rfind(work_dir + "/", 0), 0u) << path;
+    path = path.substr(work_dir.size() + 1);
+  }
+  return paths;
+}
+
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Job directories are minted globally; rebasing each `job_<id>` to the
+/// first id of its run makes two runs' paths comparable.
+std::vector<std::string> rebased(std::vector<std::string> paths) {
+  auto id_of = [](const std::string& path) {
+    return std::stoull(path.substr(path.find("job_") + 4, 8));
+  };
+  const unsigned long long first = id_of(paths[0]);
+  for (std::string& path : paths) {
+    const std::size_t at = path.find("job_") + 4;
+    char tag[16];
+    std::snprintf(tag, sizeof(tag), "%08llu", id_of(path) - first);
+    path.replace(at, 8, tag);
+  }
+  return paths;
+}
+
+TEST(Campaign, RealJobsOnThePoolAreByteIdenticalAcrossThreadsAndTieSeeds) {
+  const std::string root = temp_dir("realpool");
+  struct Run {
+    std::size_t threads;
+    std::uint64_t tie_seed;
+  };
+  const Run runs[] = {{1, 0}, {2, 0}, {4, 0}, {1, 97}, {4, 97}};
+  std::vector<std::string> dirs;
+  std::vector<std::vector<std::string>> paths;
+  for (const Run& run : runs) {
+    dirs.push_back(root + "/t" + std::to_string(run.threads) + "_s" +
+                   std::to_string(run.tie_seed));
+    paths.push_back(run_real_campaign(dirs.back(), run.threads, run.tie_seed));
+  }
+  // Job directories follow the solve order, not which job finished first.
+  EXPECT_EQ(rebased(paths[0]), rebased(paths[2]));
+  for (std::size_t r = 1; r < paths.size(); ++r) {
+    for (std::size_t call = 0; call < paths[0].size(); ++call) {
+      const auto want = file_bytes(dirs[0] + "/" + paths[0][call]);
+      ASSERT_FALSE(want.empty()) << paths[0][call];
+      EXPECT_TRUE(file_bytes(dirs[r] + "/" + paths[r][call]) == want)
+          << "call " << call << " differs at threads=" << runs[r].threads
+          << " tie_seed=" << runs[r].tie_seed;
+    }
+  }
+  std::filesystem::remove_all(root);
 }
 
 TEST(Campaign, SpecFromG5kMirrorsPlacement) {
