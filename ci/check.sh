@@ -32,6 +32,19 @@ for lib in math grafic ramses; do
 done
 echo "libgc_math.a, libgc_grafic.a, libgc_ramses.a: no __muldc3"
 
+step "no double-modulo index wrap outside math::wrap"
+# ((x % n) + n) % n costs two integer divisions per wrapped index. Every
+# periodic wrap in the numerics goes through math::wrap
+# (src/math/grid3.hpp), whose fallback line is the one place the idiom may
+# stand. Fail if it comes back anywhere else in src/ (comments aside).
+MODWRAP='%[[:space:]]*[[:alnum:]_]+[[:space:]]*\)?[[:space:]]*\+[[:space:]]*[[:alnum:]_]+[[:space:]]*\)[[:space:]]*%'
+if grep -rnE "$MODWRAP" src | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+    grep -vxE 'src/math/grid3.hpp:[0-9]+:  return \(\(x % n\) \+ n\) % n;'; then
+  echo "double-modulo wrap in src/: use math::wrap" >&2
+  exit 1
+fi
+echo "src/: every periodic wrap goes through math::wrap"
+
 step "unit tests"
 ctest --preset default --output-on-failure -j "$(nproc)"
 

@@ -4,6 +4,7 @@
 
 #include "common/log.hpp"
 #include "math/fft.hpp"
+#include "math/grid3.hpp"
 #include "parallel/pool.hpp"
 
 namespace gc::grafic {
@@ -146,7 +147,7 @@ std::array<std::vector<float>, 3> second_order_displacement(
 
 double trilinear(const std::vector<float>& grid, int n, double gx, double gy,
                  double gz) {
-  const auto wrap = [n](int i) { return ((i % n) + n) % n; };
+  const auto wrap = [n](int i) { return static_cast<int>(math::wrap(i, n)); };
   const auto idx = [n, &wrap](int i, int j, int k) {
     return (static_cast<std::size_t>(wrap(i)) * n + wrap(j)) * n + wrap(k);
   };

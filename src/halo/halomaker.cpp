@@ -8,6 +8,7 @@
 #include "common/log.hpp"
 #include "common/strings.hpp"
 #include "io/fortran.hpp"
+#include "math/grid3.hpp"
 #include "parallel/pool.hpp"
 
 namespace gc::halo {
@@ -159,12 +160,9 @@ HaloCatalog find_halos(const ParticleView& particles, double aexp,
           {-1, -1, 1}, {0, -1, 1}, {1, -1, 1}, {-1, 0, 1}, {0, 0, 1},
           {1, 0, 1},  {-1, 1, 1}, {0, 1, 1},  {1, 1, 1}};
       for (const auto& off : kOffsets) {
-        const std::size_t ni = static_cast<std::size_t>(
-            ((ci + off[0]) % nc + nc) % nc);
-        const std::size_t nj = static_cast<std::size_t>(
-            ((cj + off[1]) % nc + nc) % nc);
-        const std::size_t nk = static_cast<std::size_t>(
-            ((ck + off[2]) % nc + nc) % nc);
+        const auto ni = static_cast<std::size_t>(math::wrap(ci + off[0], nc));
+        const auto nj = static_cast<std::size_t>(math::wrap(cj + off[1], nc));
+        const auto nk = static_cast<std::size_t>(math::wrap(ck + off[2], nc));
         const std::uint32_t other =
             find_cell(static_cast<std::uint32_t>((ni * ncell + nj) * ncell + nk));
         if (other == kNoCell) continue;

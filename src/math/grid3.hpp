@@ -11,6 +11,22 @@
 
 namespace gc::math {
 
+/// Periodic index: x wrapped onto [0, n) for n > 0, the value
+/// ((x % n) + n) % n gives for every x. Stencils step at most one period
+/// outside the mesh, so x in [-n, 2n) costs one compare and one add or
+/// subtract; any other x falls back to the two modulos. Every periodic
+/// index wrap in the numerics goes through here.
+[[nodiscard]] constexpr long wrap(long x, long n) {
+  if (x < 0) {
+    if (x >= -n) return x + n;
+  } else if (x < n) {
+    return x;
+  } else if (x - n < n) {
+    return x - n;
+  }
+  return ((x % n) + n) % n;
+}
+
 template <typename T>
 class Grid3 {
  public:
@@ -38,7 +54,7 @@ class Grid3 {
 
   [[nodiscard]] std::size_t index_p(long i, long j, long k) const {
     const long n = static_cast<long>(n_);
-    const auto w = [n](long x) { return static_cast<std::size_t>(((x % n) + n) % n); };
+    const auto w = [n](long x) { return static_cast<std::size_t>(wrap(x, n)); };
     return (w(i) * n_ + w(j)) * n_ + w(k);
   }
 

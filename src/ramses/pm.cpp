@@ -22,12 +22,12 @@ constexpr std::size_t kParticleGrain = 8192;
 
 /// Mesh indices first, first+1, ... wrapped onto [0, n) the way
 /// Grid3::atp wraps them. The CIC loops wrap each particle's stencil once
-/// with this instead of paying two modulos per axis on every lookup.
+/// with this instead of on every lookup.
 template <std::size_t N>
 std::array<long, N> wrapped_run(long first, long n) {
   std::array<long, N> out;
   for (std::size_t o = 0; o < N; ++o) {
-    out[o] = ((first + static_cast<long>(o)) % n + n) % n;
+    out[o] = math::wrap(first + static_cast<long>(o), n);
   }
   return out;
 }

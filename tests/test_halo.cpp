@@ -441,6 +441,38 @@ TEST(FofOracle, ClumpAcrossPeriodicFaceOverUniformBackground) {
   parallel::set_thread_count(0);
 }
 
+TEST(FofOracle, GroupAcrossThePeriodicCornerKeepsItsMembers) {
+  // A clump on the corner where all three faces meet, so its friends sit
+  // in cells 0 and ncell - 1 of every axis and each link across a face
+  // goes through the stencil's periodic wrap. The linking factors give 10,
+  // 20, 60 and 121 cells a side.
+  for (const double b : {1.2, 0.6, 0.2, 0.1}) {
+    Rng rng(15);
+    Particles p;
+    for (int i = 0; i < 1500; ++i) {
+      p.add(rng.uniform(), rng.uniform(), rng.uniform());
+    }
+    p.blob(rng, 0.0, 1.0, 0.0, 300, 0.004);
+    const FofOptions options{b, 20};
+    const HaloCatalog want = reference_find_halos(p, options);
+    ASSERT_GE(want.halos.size(), 1u);
+    const Halo& clump = want.halos[0];
+    std::set<int> octants;
+    for (const std::uint64_t id : clump.members) {
+      const std::size_t i = id - 1;
+      octants.insert((p.x[i] < 0.5) * 4 + (p.y[i] < 0.5) * 2 + (p.z[i] < 0.5));
+    }
+    EXPECT_EQ(octants.size(), 8u) << "b=" << b;  // spans every face
+    for (const std::size_t threads : {1, 4}) {
+      parallel::set_thread_count(threads);
+      expect_same_catalog(find_halos(p.view(), 1.0, 100.0, options), want,
+                          "b=" + std::to_string(b) +
+                              " threads=" + std::to_string(threads));
+    }
+  }
+  parallel::set_thread_count(0);
+}
+
 TEST(FofOracle, UniformNearPercolation) {
   // b = 0.7 on uniform points sits just below the percolation threshold:
   // many groups of every size, each of which a single missed or spurious

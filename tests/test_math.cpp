@@ -235,7 +235,9 @@ bool same_bytes(const std::vector<Complex>& a, const std::vector<Complex>& b) {
 }
 
 TEST(FftOracle, LineMatchesReferenceBytes) {
-  for (std::size_t n = 2; n <= 1024; n <<= 1) {
+  // fft() runs the lockstep kernel with one live lane; n = 1 has no
+  // butterfly at all and n = 2 only the first pass.
+  for (std::size_t n = 1; n <= 1024; n <<= 1) {
     for (const bool inverse : {false, true}) {
       std::vector<Complex> got = oracle_input(n, n);
       std::vector<Complex> want = got;
@@ -250,8 +252,13 @@ TEST(FftOracle, CubeMatchesReferenceBytesAtAnyThreadCount) {
   struct Shape {
     std::size_t n0, n1, n2;
   };
-  const Shape shapes[] = {{4, 4, 4},    {8, 8, 8},   {16, 16, 16},
-                          {32, 32, 32}, {64, 64, 64}, {4, 16, 8}};
+  // Past the cubes, shapes whose axes leave a batch of eight lines partly
+  // empty: strides below eight, line counts that are not a multiple of
+  // eight, single lines, and length-1 axes.
+  const Shape shapes[] = {{4, 4, 4},   {8, 8, 8},  {16, 16, 16}, {32, 32, 32},
+                          {64, 64, 64}, {4, 16, 8}, {2, 4, 8},    {1, 1, 32},
+                          {1, 32, 1},  {32, 1, 1}, {2, 2, 2},    {8, 1, 4},
+                          {1, 2, 64},  {16, 2, 1}, {1, 1, 1}};
   for (const std::size_t threads : {1, 4}) {
     parallel::set_thread_count(threads);
     for (const Shape& s : shapes) {
@@ -268,6 +275,26 @@ TEST(FftOracle, CubeMatchesReferenceBytesAtAnyThreadCount) {
     }
   }
   parallel::set_thread_count(0);
+}
+
+TEST(FftOracle, ThreeHundredRoundTripsStayOnTheReference) {
+  // Rounding differences compound over repeated transforms: 300 forward +
+  // inverse round trips must still match the reference bit for bit, on a
+  // line and on a cube.
+  std::vector<Complex> line = oracle_input(64, 5);
+  std::vector<Complex> line_want = line;
+  std::vector<Complex> cube = oracle_input(8 * 8 * 8, 6);
+  std::vector<Complex> cube_want = cube;
+  for (int trip = 0; trip < 300; ++trip) {
+    for (const bool inverse : {false, true}) {
+      fft(line, inverse);
+      reference_fft_strided(line_want.data(), 64, 1, inverse);
+      fft3(cube, 8, 8, 8, inverse);
+      reference_fft3(cube_want, 8, 8, 8, inverse);
+    }
+    ASSERT_TRUE(same_bytes(line, line_want)) << "line, trip " << trip;
+    ASSERT_TRUE(same_bytes(cube, cube_want)) << "cube, trip " << trip;
+  }
 }
 
 TEST(FftOracle, MulMatchesOperatorBytes) {
@@ -335,6 +362,19 @@ TEST(Grid3, PeriodicWrap) {
   EXPECT_EQ(grid.atp(-4, 0, 0), 7);
   EXPECT_EQ(grid.atp(-1, -1, -1), grid.at(3, 3, 3));
   EXPECT_EQ(grid.atp(8, -8, 12), 7);
+}
+
+TEST(Grid3, WrapEqualsDoubleModulo) {
+  // [-3n, 3n] covers the one-step fast path [-n, 2n) and the modulo
+  // fallback on both sides of it.
+  for (const long n : {1L, 2L, 3L, 16L, 32L, 112L}) {
+    for (long x = -3 * n; x <= 3 * n; ++x) {
+      ASSERT_EQ(wrap(x, n), ((x % n) + n) % n) << "x=" << x << " n=" << n;
+    }
+    for (const long x : {-1000000007L, 1000000007L, -(1L << 62), 1L << 62}) {
+      ASSERT_EQ(wrap(x, n), ((x % n) + n) % n) << "x=" << x << " n=" << n;
+    }
+  }
 }
 
 TEST(Grid3, FillAndSum) {

@@ -156,8 +156,14 @@ TEST(Pm, TwoBodiesAttract) {
   EXPECT_NEAR(acc[1][0], 0.0, 1e-9);              // no transverse force
 }
 
-// The CIC scatter and gather with a periodic lookup per corner, as written
-// before the wrapped indices were hoisted: the byte reference for both.
+// The CIC scatter and gather with a periodic lookup per corner, each index
+// wrapped by the double modulo: the byte reference for both.
+std::size_t modulo_index(std::size_t size, long i, long j, long k) {
+  const auto n = static_cast<long>(size);
+  const auto w = [n](long x) { return ((x % n) + n) % n; };
+  return static_cast<std::size_t>((w(i) * n + w(j)) * n + w(k));
+}
+
 math::Grid3<double> reference_cic(const ParticleSet& particles, int n) {
   math::Grid3<double> delta(static_cast<std::size_t>(n), 0.0);
   const double nd = static_cast<double>(n);
@@ -178,7 +184,8 @@ math::Grid3<double> reference_cic(const ParticleSet& particles, int n) {
         const double wy = dj ? fy : 1.0 - fy;
         for (int dk = 0; dk <= 1; ++dk) {
           const double wz = dk ? fz : 1.0 - fz;
-          delta.atp(i0 + di, j0 + dj, k0 + dk) += m * wx * wy * wz;
+          delta.raw()[modulo_index(delta.n(), i0 + di, j0 + dj, k0 + dk)] +=
+              m * wx * wy * wz;
         }
       }
     }
@@ -213,12 +220,12 @@ std::array<std::vector<double>, 3> reference_forces(
           const long i = i0 + di;
           const long j = j0 + dj;
           const long k = k0 + dk;
-          acc[0][p] -=
-              w * (phi.atp(i + 1, j, k) - phi.atp(i - 1, j, k)) * inv_2h;
-          acc[1][p] -=
-              w * (phi.atp(i, j + 1, k) - phi.atp(i, j - 1, k)) * inv_2h;
-          acc[2][p] -=
-              w * (phi.atp(i, j, k + 1) - phi.atp(i, j, k - 1)) * inv_2h;
+          const auto at = [&phi](long a, long b, long c) {
+            return phi.raw()[modulo_index(phi.n(), a, b, c)];
+          };
+          acc[0][p] -= w * (at(i + 1, j, k) - at(i - 1, j, k)) * inv_2h;
+          acc[1][p] -= w * (at(i, j + 1, k) - at(i, j - 1, k)) * inv_2h;
+          acc[2][p] -= w * (at(i, j, k + 1) - at(i, j, k - 1)) * inv_2h;
         }
       }
     }
@@ -234,10 +241,13 @@ bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
 
 TEST(Pm, CicAndForcesMatchPeriodicLookupBytes) {
   // Random particles plus ones on and next to every box face, so each
-  // wrapped index (below 0 and past n-1) is exercised.
+  // wrapped index (below 0 and past n-1) is exercised: x = 0 puts the
+  // first CIC corner at i0 = -1 and x = nextafter(1, 0) at i0 = n - 1, so
+  // the gather reaches -2 and n + 1, outside [-n, 2n) at n = 1.
   Rng rng(8);
   ParticleSet particles;
-  const double edges[] = {0.0, 1e-9, 0.01, 0.5, 0.99, 1.0 - 1e-12};
+  const double edges[] = {0.0,  1e-9, 0.01, 0.5, 0.99, 1.0 - 1e-12,
+                          std::nextafter(1.0, 0.0)};
   std::uint64_t id = 1;
   for (const double ex : edges) {
     for (const double ey : edges) {
@@ -248,7 +258,7 @@ TEST(Pm, CicAndForcesMatchPeriodicLookupBytes) {
     particles.push_back(rng.uniform(), rng.uniform(), rng.uniform(), 0, 0, 0,
                         rng.uniform(0.5, 2.0) / 3000.0, id++, 0);
   }
-  for (const int n : {4, 16, 32}) {
+  for (const int n : {1, 2, 4, 16, 32}) {
     const auto delta = cic_deposit(particles, n);
     EXPECT_TRUE(same_bytes(delta.raw(), reference_cic(particles, n).raw()))
         << "cic n=" << n;
