@@ -1,6 +1,6 @@
 // V2 — google-benchmark micro-benchmarks for the hot substrate paths:
-// FFT, Hilbert encode/decode, CIC deposit, FoF halo finding, the message
-// codec and profile serialization.
+// FFT, CIC deposit, FoF halo finding, the message codec and profile
+// serialization.
 //
 // `--parallel_sweep[=path]` skips google-benchmark and instead sweeps
 // GC_THREADS over {1, 2, 4} for every pool-backed kernel, verifies the
@@ -20,7 +20,6 @@
 #include "diet/profile.hpp"
 #include "grafic/ic.hpp"
 #include "halo/halomaker.hpp"
-#include "hilbert/hilbert.hpp"
 #include "math/fft.hpp"
 #include "net/codec.hpp"
 #include "parallel/pool.hpp"
@@ -62,27 +61,6 @@ BENCHMARK(BM_Fft3D)
     ->Args({64, 1})
     ->Args({64, 2})
     ->Args({64, 4});
-
-void BM_HilbertEncode(benchmark::State& state) {
-  gc::Rng rng(2);
-  std::uint32_t x = 0;
-  for (auto _ : state) {
-    x = static_cast<std::uint32_t>(rng.next_u64() & 0x3ff);
-    benchmark::DoNotOptimize(gc::hilbert::encode(x, x ^ 0x155, x ^ 0x2aa, 10));
-  }
-}
-BENCHMARK(BM_HilbertEncode);
-
-void BM_HilbertRoundtrip(benchmark::State& state) {
-  gc::Rng rng(3);
-  for (auto _ : state) {
-    const std::uint64_t key = rng.next_u64() % (1ull << 30);
-    std::uint32_t x, y, z;
-    gc::hilbert::decode(key, 10, x, y, z);
-    benchmark::DoNotOptimize(gc::hilbert::encode(x, y, z, 10));
-  }
-}
-BENCHMARK(BM_HilbertRoundtrip);
 
 gc::ramses::ParticleSet random_particles(std::size_t n, std::uint64_t seed) {
   gc::ramses::ParticleSet particles;

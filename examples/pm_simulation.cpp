@@ -1,10 +1,10 @@
 // Run the RAMSES-style solver directly: GRAFIC initial conditions, PM
-// N-body integration (optionally over MiniMPI ranks with Peano-Hilbert
-// domain decomposition), AMR statistics, and a halo catalog at z = 0.
+// N-body integration, AMR statistics, and a halo catalog at z = 0. The
+// kernels run on the shared thread pool; output is byte-identical at any
+// thread count.
 //
 //   ./pm_simulation                          # 16^3, serial
 //   ./pm_simulation --n 32 --steps 32        # bigger run
-//   ./pm_simulation --ranks 4                # MiniMPI parallel
 //   ./pm_simulation --zoom 2                 # nested zoom ICs
 //   ./pm_simulation --threads 4              # pool threads (= GC_THREADS)
 //   ./pm_simulation --trace out.json --metrics m.txt   # observability
@@ -21,7 +21,6 @@
 #include "halo/halomaker.hpp"
 #include "halo/overdensity.hpp"
 #include "ramses/amr.hpp"
-#include "ramses/domain.hpp"
 #include "ramses/pm.hpp"
 #include "ramses/simulation.hpp"
 
@@ -52,27 +51,21 @@ int main(int argc, char** argv) {
   params.zoom_centre = {params.box_mpc / 2, params.box_mpc / 2,
                         params.box_mpc / 2};
   params.aout = {0.5};
-  const int ranks = static_cast<int>(args.get_int("ranks", 1));
   // 0 keeps the default (GC_THREADS env var, else hardware concurrency).
   gc::parallel::set_thread_count(
       static_cast<std::size_t>(args.get_int("threads", 0)));
 
   std::printf("PM/N-body: %d^3 particles, %d^3 mesh, box %.0f Mpc/h, "
-              "a %.2f -> 1.0 in %d steps, %d rank(s), %d zoom level(s), "
+              "a %.2f -> 1.0 in %d steps, %d zoom level(s), "
               "%zu pool thread(s)\n",
               params.npart_dim, params.pm_grid, params.box_mpc,
-              params.a_start, params.steps, ranks, params.zoom_levels,
+              params.a_start, params.steps, params.zoom_levels,
               gc::parallel::thread_count());
 
-  const gc::ramses::RunResult result =
-      ranks > 1 ? gc::ramses::run_simulation_parallel(params, ranks)
-                : gc::ramses::run_simulation(params);
-  std::printf("ran %d steps over %zu particles", result.steps_taken,
-              result.particle_count);
-  if (ranks > 1) {
-    std::printf(" (final load imbalance %.3f)", result.final_imbalance);
-  }
-  std::printf("; %zu snapshots\n\n", result.snapshots.size());
+  const gc::ramses::RunResult result = gc::ramses::run_simulation(params);
+  std::printf("ran %d steps over %zu particles; %zu snapshots\n\n",
+              result.steps_taken, result.particle_count,
+              result.snapshots.size());
 
   const gc::ramses::Snapshot& final_snap = result.snapshots.back();
 
@@ -90,11 +83,7 @@ int main(int argc, char** argv) {
       std::printf("  level %2zu: %8zu cells\n", level, per_level[level]);
     }
   }
-
-  // Hilbert decomposition balance (what the paper's 16-machine SEDs used).
-  gc::ramses::DomainDecomposition domain(final_snap.particles, 4, 16);
-  std::printf("Hilbert decomposition over 16 ranks: imbalance %.3f\n\n",
-              domain.imbalance(final_snap.particles));
+  std::printf("\n");
 
   // HaloMaker on the final snapshot.
   std::vector<double> vx(final_snap.particles.size());

@@ -1,5 +1,5 @@
 // Minimal command-line flag parser for the examples and benches.
-// Supports --key value and --key=value; unknown flags are reported.
+// Supports --key value and --key=value; unknown flags are ignored.
 #pragma once
 
 #include <map>
@@ -17,7 +17,6 @@ class CliArgs {
   [[nodiscard]] long get_int(const std::string& key, long fallback) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
-  /// Keys that were provided but never queried (typo detection).
   [[nodiscard]] std::string program() const { return program_; }
 
  private:

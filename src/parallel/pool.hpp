@@ -3,7 +3,8 @@
 // The FFT pencil loops, the PM deposit/interpolation/leapfrog sweeps, the
 // GRAFIC k-space loops and the FoF cell sweep are all embarrassingly (or
 // reducibly) parallel; this module gives them one lazily-initialized pool
-// instead of each spinning its own threads next to RealEnv and MiniMPI.
+// instead of each spinning its own threads next to RealEnv's execute
+// threads.
 //
 // Determinism contract (relied on by test_parallel and the snapshot
 // byte-identity guarantee):

@@ -5,10 +5,8 @@
 
 #include "common/log.hpp"
 #include "common/strings.hpp"
-#include "minimpi/comm.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "ramses/domain.hpp"
 #include "ramses/loader.hpp"
 #include "ramses/pm.hpp"
 
@@ -250,108 +248,6 @@ RunResult run_simulation(const RunParams& params,
       ++next_out;
     }
   }
-  return result;
-}
-
-RunResult run_simulation_parallel(const RunParams& params, int nranks) {
-  GC_CHECK(nranks >= 1);
-  if (nranks == 1) return run_simulation(params);
-
-  RunResult result;
-  const int decomposition_order =
-      std::max(1, std::min(6, static_cast<int>(std::log2(nranks)) + 2));
-
-  minimpi::run(nranks, [&](minimpi::Comm& comm) {
-    const cosmo::Cosmology cosmology(params.cosmology);
-    PmSolver solver(cosmology, {params.pm_grid, params.cosmology.omega_m});
-
-    // Rank 0 builds the full load, then scatters it by Hilbert domain.
-    ParticleSet mine;
-    if (comm.rank() == 0) mine = particles_from_ic(make_ic(params));
-    DomainDecomposition domain(mine, decomposition_order, nranks);
-    mine = exchange_particles(comm, mine, domain);
-
-    const std::vector<double> a = schedule(params);
-    const std::vector<double> aout = output_times(params);
-    std::size_t next_out = 0;
-    const auto n_mesh = static_cast<std::size_t>(params.pm_grid);
-
-    auto global_acc = [&](ParticleSet& p, double aa) {
-      math::Grid3<double> delta = cic_deposit(p, params.pm_grid);
-      // cic_deposit subtracts the mean assuming the full mass is local;
-      // undo that, reduce, and subtract once globally.
-      for (auto& v : delta.raw()) v += 1.0;
-      comm.allreduce_vec_sum(delta.raw());
-      for (auto& v : delta.raw()) v -= 1.0;
-      const double rhs = 1.5 * params.cosmology.omega_m / aa;
-      const math::Grid3<double> phi = solve_poisson(delta, rhs);
-      (void)n_mesh;
-      return interpolate_forces(phi, p);
-    };
-
-    for (int i = 0; i < params.steps; ++i) {
-      const double a0 = a[static_cast<std::size_t>(i)];
-      const double a1 = a[static_cast<std::size_t>(i) + 1];
-      const double da = a1 - a0;
-
-      auto acc = global_acc(mine, a0);
-      solver.kick(mine, acc, a0, 0.5 * da);
-      solver.drift(mine, a0 + 0.5 * da, da);
-      acc = global_acc(mine, a1);
-      solver.kick(mine, acc, a1, 0.5 * da);
-
-      // Periodic rebalancing: recompute the Hilbert decomposition from
-      // the global distribution and exchange.
-      if ((i + 1) % 8 == 0) {
-        // Build the new decomposition from a reduced coarse histogram:
-        // every rank must construct an identical domain, so gather all
-        // particles' coarse cells via the weights inside the ctor — here
-        // we simply gather positions to keep the implementation simple
-        // at the scales this repo runs.
-        ParticleSet all;
-        all.x = comm.allgather(mine.x);
-        all.y = comm.allgather(mine.y);
-        all.z = comm.allgather(mine.z);
-        all.px.assign(all.x.size(), 0.0);
-        all.py.assign(all.x.size(), 0.0);
-        all.pz.assign(all.x.size(), 0.0);
-        all.mass.assign(all.x.size(), 1.0);
-        all.id.assign(all.x.size(), 0);
-        all.level.assign(all.x.size(), 0);
-        DomainDecomposition fresh(all, decomposition_order, nranks);
-        mine = exchange_particles(comm, mine, fresh);
-      }
-
-      while (next_out < aout.size() && a1 >= aout[next_out] - 1e-12) {
-        // Gather the full state on rank 0 for the snapshot.
-        ParticleSet full;
-        full.x = comm.gather(mine.x, 0);
-        full.y = comm.gather(mine.y, 0);
-        full.z = comm.gather(mine.z, 0);
-        full.px = comm.gather(mine.px, 0);
-        full.py = comm.gather(mine.py, 0);
-        full.pz = comm.gather(mine.pz, 0);
-        full.mass = comm.gather(mine.mass, 0);
-        full.id = comm.gather(mine.id, 0);
-        full.level = comm.gather(mine.level, 0);
-        if (comm.rank() == 0) {
-          result.snapshots.push_back(
-              make_snapshot(params, aout[next_out], full));
-        }
-        ++next_out;
-      }
-    }
-
-    // Final stats (rank 0 writes the shared result; others are done).
-    const auto local = static_cast<double>(mine.size());
-    const double max_load = comm.allreduce_max(local);
-    const double total = comm.allreduce_sum(local);
-    if (comm.rank() == 0) {
-      result.steps_taken = params.steps;
-      result.particle_count = static_cast<std::size_t>(total);
-      result.final_imbalance = max_load * nranks / std::max(total, 1.0);
-    }
-  });
   return result;
 }
 

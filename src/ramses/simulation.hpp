@@ -3,9 +3,11 @@
 // Reads run parameters (programmatically or from a .nml namelist, the
 // first IN argument of ramsesZoom2), generates GRAFIC initial conditions,
 // integrates the N-body system with the PM solver, and emits snapshots at
-// the requested expansion factors. run() is serial; run_parallel() spawns
-// a MiniMPI world and uses the Peano-Hilbert decomposition, reproducing
-// the paper's per-cluster MPI execution at laptop scale.
+// the requested expansion factors. The kernels split their loops over the
+// shared `parallel` pool, and a real-mode SED starts the whole run as a
+// pool job (parallel::start): that job is this reproduction's counterpart
+// of the paper's per-cluster MPI execution. Output is byte-identical at
+// any thread count.
 #pragma once
 
 #include <functional>
@@ -49,7 +51,6 @@ struct RunResult {
   std::vector<Snapshot> snapshots;  ///< at each aout, in order
   std::size_t particle_count = 0;
   int steps_taken = 0;
-  double final_imbalance = 1.0;     ///< parallel runs: max/mean rank load
 };
 
 using StepCallback =
@@ -68,10 +69,5 @@ RunResult run_simulation(const RunParams& params,
 RunResult run_simulation(const RunParams& params,
                          const OutputCallback& on_output,
                          const StepCallback& on_step = nullptr);
-
-/// Parallel run over `nranks` MiniMPI ranks (threads). Results are
-/// identical to the serial run up to the non-associativity of the mesh
-/// reduction.
-RunResult run_simulation_parallel(const RunParams& params, int nranks);
 
 }  // namespace gc::ramses

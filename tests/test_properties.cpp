@@ -8,8 +8,6 @@
 #include "common/rng.hpp"
 #include "diet/profile.hpp"
 #include "halo/halomaker.hpp"
-#include "hilbert/hilbert.hpp"
-#include "ramses/domain.hpp"
 #include "ramses/loader.hpp"
 #include "ramses/pm.hpp"
 #include "workflow/campaign.hpp"
@@ -21,53 +19,6 @@ class Seeded : public ::testing::TestWithParam<std::uint64_t> {};
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Seeded,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
-
-// ---------- Hilbert partitioning ----------
-
-TEST_P(Seeded, HilbertPartitionBalancesRandomWeights) {
-  Rng rng(GetParam());
-  const std::size_t cells = 512;
-  std::vector<double> weights(cells);
-  double total = 0.0;
-  for (auto& w : weights) {
-    w = rng.exponential(1.0);
-    total += w;
-  }
-  for (const int parts : {2, 3, 7, 16}) {
-    const auto bounds = hilbert::partition(weights, parts);
-    ASSERT_EQ(bounds.size(), static_cast<std::size_t>(parts) + 1);
-    double max_part = 0.0;
-    for (int p = 0; p < parts; ++p) {
-      double sum = 0.0;
-      for (std::size_t i = bounds[static_cast<size_t>(p)];
-           i < bounds[static_cast<size_t>(p) + 1]; ++i) {
-        sum += weights[i];
-      }
-      max_part = std::max(max_part, sum);
-    }
-    // Greedy prefix split: no part exceeds the ideal share by more than
-    // the largest single weight.
-    const double largest =
-        *std::max_element(weights.begin(), weights.end());
-    EXPECT_LE(max_part, total / parts + largest + 1e-9);
-  }
-}
-
-TEST_P(Seeded, HilbertRoundtripRandomOrders) {
-  Rng rng(GetParam() * 977);
-  for (int i = 0; i < 200; ++i) {
-    const int order = 1 + static_cast<int>(rng.uniform_u64(21));
-    const auto n = std::uint32_t{1} << order;
-    const auto x = static_cast<std::uint32_t>(rng.uniform_u64(n));
-    const auto y = static_cast<std::uint32_t>(rng.uniform_u64(n));
-    const auto z = static_cast<std::uint32_t>(rng.uniform_u64(n));
-    std::uint32_t bx, by, bz;
-    hilbert::decode(hilbert::encode(x, y, z, order), order, bx, by, bz);
-    ASSERT_EQ(bx, x);
-    ASSERT_EQ(by, y);
-    ASSERT_EQ(bz, z);
-  }
-}
 
 // ---------- profile serialization ----------
 
@@ -206,23 +157,6 @@ TEST_P(Seeded, LeapfrogConservesMassAndWrapsPositions) {
     ASSERT_TRUE(particles.valid());
   }
   EXPECT_DOUBLE_EQ(particles.total_mass(), mass0);
-}
-
-TEST_P(Seeded, DomainDecompositionCoversEverything) {
-  Rng rng(GetParam() * 13);
-  ramses::ParticleSet particles;
-  for (int i = 0; i < 3000; ++i) {
-    particles.push_back(rng.uniform(), rng.uniform(), rng.uniform(), 0, 0, 0,
-                        1.0 / 3000, static_cast<std::uint64_t>(i + 1), 0);
-  }
-  for (const int ranks : {2, 5, 11}) {
-    ramses::DomainDecomposition domain(particles, 4, ranks);
-    const auto load = domain.load(particles);
-    std::size_t total = 0;
-    for (const std::size_t l : load) total += l;
-    ASSERT_EQ(total, particles.size());
-    EXPECT_LT(domain.imbalance(particles), 1.25);
-  }
 }
 
 // ---------- campaign invariants for any seed ----------

@@ -11,7 +11,6 @@
 
 #include "cosmo/cosmology.hpp"
 #include "ramses/amr.hpp"
-#include "ramses/domain.hpp"
 #include "ramses/loader.hpp"
 #include "ramses/pm.hpp"
 #include "ramses/simulation.hpp"
@@ -452,59 +451,6 @@ TEST(Amr, CellsPerLevelSums) {
   EXPECT_EQ(total, tree.cells().size());
 }
 
-// ---------- domain decomposition ----------
-
-TEST(Domain, BalancedOnUniform) {
-  const auto particles = uniform_lattice(16);
-  for (const int ranks : {2, 4, 8}) {
-    DomainDecomposition domain(particles, 4, ranks);
-    EXPECT_LT(domain.imbalance(particles), 1.05) << ranks << " ranks";
-    const auto load = domain.load(particles);
-    std::size_t total = 0;
-    for (const std::size_t l : load) total += l;
-    EXPECT_EQ(total, particles.size());
-  }
-}
-
-TEST(Domain, RanksCoverCurveContiguously) {
-  const auto particles = uniform_lattice(8);
-  DomainDecomposition domain(particles, 3, 4);
-  const auto& bounds = domain.bounds();
-  ASSERT_EQ(bounds.size(), 5u);
-  EXPECT_EQ(bounds.front(), 0u);
-  EXPECT_EQ(bounds.back(), 512u);
-  // rank_of follows the bounds.
-  int last_rank = 0;
-  for (std::size_t i = 0; i < particles.size(); ++i) {
-    const int r =
-        domain.rank_of(particles.x[i], particles.y[i], particles.z[i]);
-    EXPECT_GE(r, 0);
-    EXPECT_LT(r, 4);
-    last_rank = std::max(last_rank, r);
-  }
-  EXPECT_EQ(last_rank, 3);
-}
-
-TEST(Domain, ExchangeConservesParticles) {
-  const auto all = uniform_lattice(8);
-  std::atomic<std::size_t> total{0};
-  std::atomic<int> misplaced{0};
-  minimpi::run(4, [&](minimpi::Comm& comm) {
-    ParticleSet mine;
-    if (comm.rank() == 0) mine = all;
-    DomainDecomposition domain(all, 3, 4);  // same domain on every rank
-    const ParticleSet owned = exchange_particles(comm, mine, domain);
-    total += owned.size();
-    for (std::size_t i = 0; i < owned.size(); ++i) {
-      if (domain.rank_of(owned.x[i], owned.y[i], owned.z[i]) != comm.rank()) {
-        ++misplaced;
-      }
-    }
-  });
-  EXPECT_EQ(total.load(), all.size());
-  EXPECT_EQ(misplaced.load(), 0);
-}
-
 // ---------- snapshots ----------
 
 TEST(Snapshot, WriteReadRoundtrip) {
@@ -680,33 +626,6 @@ TEST(RunParams, AdaptiveRoundtripsThroughNamelist) {
   ASSERT_TRUE(back.is_ok());
   EXPECT_TRUE(back.value().adaptive);
   EXPECT_DOUBLE_EQ(back.value().cfl, 0.3);
-}
-
-TEST(Simulation, ParallelMatchesSerial) {
-  const RunParams params = tiny_run();
-  const RunResult serial = run_simulation(params);
-  const RunResult parallel = run_simulation_parallel(params, 3);
-  ASSERT_EQ(parallel.snapshots.size(), serial.snapshots.size());
-  EXPECT_EQ(parallel.particle_count, serial.particle_count);
-
-  const auto& a = serial.snapshots.back().particles;
-  const auto& b = parallel.snapshots.back().particles;
-  ASSERT_EQ(a.size(), b.size());
-  std::vector<std::size_t> of_id(a.size() + 1);
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    of_id[static_cast<std::size_t>(b.id[i])] = i;
-  }
-  double max_dx = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const std::size_t j = of_id[static_cast<std::size_t>(a.id[i])];
-    auto wrapped = [](double d) {
-      if (d > 0.5) d -= 1.0;
-      if (d < -0.5) d += 1.0;
-      return std::abs(d);
-    };
-    max_dx = std::max(max_dx, wrapped(a.x[i] - b.x[j]));
-  }
-  EXPECT_LT(max_dx, 1e-12);
 }
 
 }  // namespace
