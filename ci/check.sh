@@ -45,6 +45,20 @@ if grep -rnE "$MODWRAP" src | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
 fi
 echo "src/: every periodic wrap goes through math::wrap"
 
+step "pm_simulation stdout pinned (GRAFIC -> PM -> AMR -> FoF bytes)"
+# The whole physics pipeline at 4 pool threads in under a second: a
+# change to the ICs, the PM leapfrog or FoF that shows in the printed AMR
+# counts or halo catalog (6 significant digits) moves this digest, well
+# before the campaign_real stage below. Last-bit drift that the printed
+# digits hide is left to the byte oracles in test_ramses.
+PM_SHA=$(./build/examples/pm_simulation --n 16 --steps 8 --zoom 2 --threads 4 |
+  sha256sum | cut -d' ' -f1)
+[[ "$PM_SHA" == "3638841311b4d849bd66a34db06d496c6be216fd4aeb353886629375ff14509d" ]] || {
+  echo "pm_simulation stdout moved: sha256 $PM_SHA" >&2
+  exit 1
+}
+echo "pm_simulation --n 16 --steps 8 --zoom 2 --threads 4: sha256 pinned"
+
 step "unit tests"
 ctest --preset default --output-on-failure -j "$(nproc)"
 

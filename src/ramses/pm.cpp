@@ -116,7 +116,7 @@ math::Grid3<double> cic_deposit(const ParticleSet& particles, int n) {
   return delta;
 }
 
-math::Grid3<double> solve_poisson(const math::Grid3<double>& delta,
+math::Grid3<double> solve_poisson(math::Grid3<double> delta,
                                   double rhs_factor) {
   const std::size_t n = delta.n();
   std::vector<math::Complex> field(n * n * n);
@@ -155,15 +155,16 @@ math::Grid3<double> solve_poisson(const math::Grid3<double>& delta,
       });
   math::fft3(field, n, true);
 
-  math::Grid3<double> phi(n);
-  double* pout = phi.raw().data();
+  // phi overwrites delta, which the transform no longer reads: one mesh
+  // of doubles per solve instead of two.
+  double* pout = delta.raw().data();
   parallel::parallel_for(0, field.size(), kParticleGrain,
                          [=](std::size_t begin, std::size_t end) {
                            for (std::size_t i = begin; i < end; ++i) {
                              pout[i] = f[i].real();
                            }
                          });
-  return phi;
+  return delta;
 }
 
 std::array<std::vector<double>, 3> interpolate_forces(
@@ -227,9 +228,9 @@ std::array<std::vector<double>, 3> interpolate_forces(
 
 std::array<std::vector<double>, 3> PmSolver::accelerations(
     const ParticleSet& particles, double a) const {
-  const math::Grid3<double> delta = cic_deposit(particles, options_.grid_n);
   const double rhs = 1.5 * options_.omega_m / a;
-  const math::Grid3<double> phi = solve_poisson(delta, rhs);
+  const math::Grid3<double> phi =
+      solve_poisson(cic_deposit(particles, options_.grid_n), rhs);
   return interpolate_forces(phi, particles);
 }
 
@@ -261,13 +262,23 @@ void PmSolver::drift(ParticleSet& particles, double a, double da) const {
   particles.wrap_positions();
 }
 
-void PmSolver::step(ParticleSet& particles, double a, double da) const {
-  // KDK: half kick at a, full drift at midpoint, half kick at a + da.
-  auto acc = accelerations(particles, a);
-  kick(particles, acc, a, 0.5 * da);
+void PmSolver::step(ParticleSet& particles, double a, double da,
+                    Forces& forces) const {
+  // KDK: half kick at a, full drift at midpoint, half kick at a + da. The
+  // closing kick's forces are the next opening kick's, bit for bit: a kick
+  // moves only momenta, the drift has already wrapped the positions, and
+  // the caller's `a += da` is the same IEEE sum as a + da here.
+  if (forces.a != a || forces.acc[0].size() != particles.size()) {
+    forces.acc = accelerations(particles, a);
+    forces.a = a;
+  }
+  kick(particles, forces.acc, a, 0.5 * da);
   drift(particles, a + 0.5 * da, da);
-  acc = accelerations(particles, a + da);
-  kick(particles, acc, a + da, 0.5 * da);
+  forces = Forces{};  // free before evaluating: one set of forces alive
+  const double a1 = a + da;
+  forces.acc = accelerations(particles, a1);
+  forces.a = a1;
+  kick(particles, forces.acc, a1, 0.5 * da);
 }
 
 double momentum_from_kms(double v_kms, double a, double box_mpc) {

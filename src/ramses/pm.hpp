@@ -17,6 +17,8 @@
 #pragma once
 
 #include <array>
+#include <limits>
+#include <vector>
 
 #include "cosmo/cosmology.hpp"
 #include "math/grid3.hpp"
@@ -29,14 +31,24 @@ namespace gc::ramses {
 /// whole box with total mass ~1.
 math::Grid3<double> cic_deposit(const ParticleSet& particles, int n);
 
-/// Solves lap(phi) = rhs_factor * delta spectrally; returns phi.
-math::Grid3<double> solve_poisson(const math::Grid3<double>& delta,
+/// Solves lap(phi) = rhs_factor * delta spectrally; returns phi in
+/// delta's storage (pass an rvalue to spare the copy).
+math::Grid3<double> solve_poisson(math::Grid3<double> delta,
                                   double rhs_factor);
 
 /// Central-difference acceleration -grad(phi), CIC-interpolated to each
 /// particle. Returns one array per axis, in phi's units per box length.
 std::array<std::vector<double>, 3> interpolate_forces(
     const math::Grid3<double>& phi, const ParticleSet& particles);
+
+/// Per-particle accelerations (one array per axis, one entry per
+/// particle) and the expansion factor they were computed at: what one
+/// leapfrog step hands the next. Default-constructed (a is NaN), it
+/// matches no step and the step computes its own.
+struct Forces {
+  std::array<std::vector<double>, 3> acc;
+  double a = std::numeric_limits<double>::quiet_NaN();
+};
 
 class PmSolver {
  public:
@@ -49,23 +61,23 @@ class PmSolver {
       : cosmology_(cosmology), options_(options) {}
 
   /// One kick-drift-kick leapfrog step from a to a + da (in place).
-  void step(ParticleSet& particles, double a, double da) const;
-
-  /// Computes accelerations at expansion factor a (exposed for the
-  /// parallel driver, which exchanges particles between kicks).
-  std::array<std::vector<double>, 3> accelerations(
-      const ParticleSet& particles, double a) const;
+  /// `forces` carries the accelerations from one step to the next: the
+  /// opening half-kick uses them when they were computed at exactly `a`
+  /// for this many particles (else it computes them), and the step leaves
+  /// the forces at a + da in them for the next step's opening half-kick.
+  void step(ParticleSet& particles, double a, double da,
+            Forces& forces) const;
 
   [[nodiscard]] const Options& options() const { return options_; }
 
-  /// Leapfrog sub-operations, exposed for the parallel driver (which
-  /// interleaves them with mesh reductions and particle exchanges).
+ private:
+  std::array<std::vector<double>, 3> accelerations(
+      const ParticleSet& particles, double a) const;
   void kick(ParticleSet& particles,
             const std::array<std::vector<double>, 3>& acc, double a,
             double da) const;
   void drift(ParticleSet& particles, double a, double da) const;
 
- private:
   const cosmo::Cosmology& cosmology_;
   Options options_;
 };

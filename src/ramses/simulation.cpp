@@ -209,6 +209,10 @@ RunResult run_simulation(const RunParams& params,
   // Hard backstop so a pathological CFL cannot loop forever.
   const int max_total_steps = params.adaptive ? 64 * params.steps
                                               : params.steps;
+  // Each step's closing forces open the next step: one PM force
+  // evaluation per step after the first (the callbacks see the particles
+  // read-only, so the carried forces stay exact).
+  Forces forces;
 
   for (int i = 0; i < params.steps; ++i) {
     const double a1 = a[static_cast<std::size_t>(i) + 1];
@@ -225,7 +229,7 @@ RunResult run_simulation(const RunParams& params,
                                      params.pm_grid, params.cfl));
         if (result.steps_taken >= max_total_steps) da = a1 - current;
       }
-      solver.step(particles, current, da);
+      solver.step(particles, current, da, forces);
       current += da;
       ++result.steps_taken;
     }

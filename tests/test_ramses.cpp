@@ -4,12 +4,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <numeric>
 
 #include "cosmo/cosmology.hpp"
+#include "parallel/pool.hpp"
 #include "ramses/amr.hpp"
 #include "ramses/loader.hpp"
 #include "ramses/pm.hpp"
@@ -319,10 +321,11 @@ TEST(Pm, ZeldovichModeGrowsLikeD) {
   const int steps = 64;
   double a = a0;
   const double ratio = std::pow(a1 / a0, 1.0 / steps);
+  Forces forces;
   for (int s = 0; s < steps; ++s) {
-    const double next = a * ratio;
-    solver.step(particles, a, next - a);
-    a = next;
+    const double da = a * ratio - a;
+    solver.step(particles, a, da, forces);
+    a += da;  // the sum the step's closing forces were computed at
   }
 
   // Fit the displacement amplitude at a1 against sin(2 pi q); the
@@ -343,6 +346,45 @@ TEST(Pm, ZeldovichModeGrowsLikeD) {
   const double measured = num / den;
   const double expected = a1 * amplitude;  // D(a1) psi
   EXPECT_NEAR(measured / expected, 1.0, 0.05);
+}
+
+TEST(Pm, StepRecomputesForeignForces) {
+  // Forces carried from another expansion factor (one ulp away) or for
+  // another particle count must not open the step: it recomputes them and
+  // lands on the bytes of a step from fresh forces.
+  const cosmo::Cosmology cosmology{cosmo::Params{}};
+  const PmSolver solver(cosmology, {16, 0.27});
+  grafic::Generator generator(cosmo::Params{}, 41);
+  const ParticleSet init =
+      particles_from_ic(generator.single_level(8, 100.0, 0.2));
+  const double a = 0.2;
+  const double da = 0.01;
+
+  ParticleSet fresh = init;
+  Forces fresh_forces;
+  solver.step(fresh, a, da, fresh_forces);
+
+  const std::size_t n = init.size();
+  Forces other_a;
+  for (auto& axis : other_a.acc) axis.assign(n, 1e3);
+  other_a.a = std::nextafter(a, 1.0);
+  Forces other_count;
+  for (auto& axis : other_count.acc) axis.assign(n - 1, 1e3);
+  other_count.a = a;
+  for (Forces* foreign : {&other_a, &other_count}) {
+    ParticleSet particles = init;
+    solver.step(particles, a, da, *foreign);
+    EXPECT_TRUE(same_bytes(particles.x, fresh.x));
+    EXPECT_TRUE(same_bytes(particles.y, fresh.y));
+    EXPECT_TRUE(same_bytes(particles.z, fresh.z));
+    EXPECT_TRUE(same_bytes(particles.px, fresh.px));
+    EXPECT_TRUE(same_bytes(particles.py, fresh.py));
+    EXPECT_TRUE(same_bytes(particles.pz, fresh.pz));
+    EXPECT_EQ(std::memcmp(&foreign->a, &fresh_forces.a, sizeof(double)), 0);
+    for (std::size_t axis = 0; axis < 3; ++axis) {
+      EXPECT_TRUE(same_bytes(foreign->acc[axis], fresh_forces.acc[axis]));
+    }
+  }
 }
 
 // ---------- loader ----------
@@ -614,6 +656,112 @@ TEST(Simulation, AdaptiveRespectsBackstop) {
   const RunResult result = run_simulation(params);
   EXPECT_LE(result.steps_taken, 64 * params.steps + params.steps);
   EXPECT_EQ(result.snapshots.size(), 2u);
+}
+
+/// The textbook kick-drift-kick: two force evaluations per step, from the
+/// public kernels, and the driver's step schedule. What run_simulation
+/// computes with the forces it carries between steps.
+std::vector<ParticleSet> two_evaluation_run(const RunParams& params) {
+  const cosmo::Cosmology cosmology(params.cosmology);
+  grafic::Generator generator(params.cosmology, params.seed);
+  ParticleSet particles = particles_from_ic(
+      params.zoom_levels > 0
+          ? generator.multi_level(params.npart_dim, params.box_mpc,
+                                  params.a_start, params.zoom_centre,
+                                  params.zoom_levels)
+          : generator.single_level(params.npart_dim, params.box_mpc,
+                                   params.a_start));
+  const auto forces_at = [&](double a) {
+    return interpolate_forces(
+        solve_poisson(cic_deposit(particles, params.pm_grid),
+                      1.5 * params.cosmology.omega_m / a),
+        particles);
+  };
+  const auto kick = [&](double a, double da) {
+    const auto acc = forces_at(a);
+    const double factor = da / (a * cosmology.efunc(a));
+    for (std::size_t p = 0; p < particles.size(); ++p) {
+      particles.px[p] += acc[0][p] * factor;
+      particles.py[p] += acc[1][p] * factor;
+      particles.pz[p] += acc[2][p] * factor;
+    }
+  };
+  const auto drift = [&](double a, double da) {
+    const double factor = da / (a * a * a * cosmology.efunc(a));
+    for (std::size_t p = 0; p < particles.size(); ++p) {
+      particles.x[p] += particles.px[p] * factor;
+      particles.y[p] += particles.py[p] * factor;
+      particles.z[p] += particles.pz[p] * factor;
+    }
+    particles.wrap_positions();
+  };
+  const auto courant_da = [&](double a) {
+    double p_max = 0.0;
+    for (std::size_t p = 0; p < particles.size(); ++p) {
+      p_max = std::max({p_max, std::abs(particles.px[p]),
+                        std::abs(particles.py[p]), std::abs(particles.pz[p])});
+    }
+    if (p_max <= 0.0) return 1e9;
+    const double dx_per_da = p_max / (a * a * a * cosmology.efunc(a));
+    return params.cfl * (1.0 / static_cast<double>(params.pm_grid)) /
+           dx_per_da;
+  };
+
+  std::vector<ParticleSet> after_step;
+  const double ratio = params.a_end / params.a_start;
+  const int max_total_steps =
+      params.adaptive ? 64 * params.steps : params.steps;
+  int taken = 0;
+  for (int i = 0; i < params.steps; ++i) {
+    double current = params.a_start *
+                     std::pow(ratio, static_cast<double>(i) / params.steps);
+    const double a1 =
+        params.a_start *
+        std::pow(ratio, static_cast<double>(i + 1) / params.steps);
+    while (current < a1 - 1e-14) {
+      double da = a1 - current;
+      if (params.adaptive) {
+        da = std::min(da, courant_da(current));
+        if (taken >= max_total_steps) da = a1 - current;
+      }
+      kick(current, 0.5 * da);
+      drift(current + 0.5 * da, da);
+      kick(current + da, 0.5 * da);
+      current += da;
+      ++taken;
+    }
+    after_step.push_back(particles);
+  }
+  return after_step;
+}
+
+TEST(Simulation, CarriedForcesMatchTwoEvaluationLeapfrog) {
+  RunParams single = tiny_run();
+  single.npart_dim = 16;
+  RunParams zoom = tiny_run();
+  zoom.zoom_levels = 2;
+  zoom.zoom_centre = {40.0, 55.0, 70.0};
+  RunParams adaptive = tiny_run();
+  adaptive.adaptive = true;
+  adaptive.cfl = 0.05;
+  for (const RunParams& params : {single, zoom, adaptive}) {
+    const std::vector<ParticleSet> want = two_evaluation_run(params);
+    for (const std::size_t threads : {1u, 4u}) {
+      parallel::set_thread_count(threads);
+      std::size_t steps_seen = 0;
+      run_simulation(params, [&](int step, double, const ParticleSet& p) {
+        const auto s = static_cast<std::size_t>(step);
+        ASSERT_LT(s, want.size());
+        EXPECT_TRUE(same_bytes(p, want[s]))
+            << "npart=" << params.npart_dim << " zoom=" << params.zoom_levels
+            << " adaptive=" << params.adaptive << " threads=" << threads
+            << " step " << step;
+        ++steps_seen;
+      });
+      EXPECT_EQ(steps_seen, want.size());
+    }
+  }
+  parallel::set_thread_count(0);
 }
 
 TEST(RunParams, AdaptiveRoundtripsThroughNamelist) {
