@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     config.policy = row.policy;
     config.input_mode = row.mode;
     config.services.output_mode = row.mode;
-    config.replicas = row.replicas;
+    config.sed_tuning.replication_factor = row.replicas;
     const gc::workflow::CampaignResult result =
         gc::workflow::run_grid5000_campaign(config);
 

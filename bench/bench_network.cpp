@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
     config.policy = policy;
     config.input_mode = mode;
     config.services.output_mode = mode;
-    config.replicas = replicas;
+    config.sed_tuning.replication_factor = replicas;
     config.shipped_input_bytes = archive_bytes;
     config.contention = true;
     config.wan_bandwidth_scale = wan_scale;
@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
         base(gc::diet::Persistence::kPersistent, "default", 1);
     config.wan_bandwidth_scale = 1.0;
     config.wan_per_stream_bps = per_stream_bps;
-    config.wan_streams = stream_counts[i];
+    config.sed_tuning.wan.streams = stream_counts[i];
     striped[i] = run(config);
     const char* label = i == 0 ? "lossy WAN, 1 stream" : "lossy WAN, 4 streams";
     print_row(label, striped[i]);

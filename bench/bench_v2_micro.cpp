@@ -10,10 +10,10 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "obs/session.hpp"
 #include "cosmo/cosmology.hpp"
@@ -345,12 +345,10 @@ int run_parallel_sweep(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // google-benchmark owns the flag parsing here, so observability is wired
-  // through the env vars only (GC_TRACE / GC_METRICS).
-  const char* trace_env = std::getenv("GC_TRACE");
-  const char* metrics_env = std::getenv("GC_METRICS");
-  const gc::obs::Session obs(trace_env ? trace_env : "",
-                             metrics_env ? metrics_env : "");
+  // google-benchmark owns the flag parsing here, so the session is handed
+  // no flags and observability comes from the library's environment
+  // fallbacks alone (GC_TRACE, GC_METRICS, ...; see obs/session.hpp).
+  const gc::obs::Session obs = gc::obs::Session::from_cli(gc::CliArgs(1, argv));
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--parallel_sweep", 0) == 0) {

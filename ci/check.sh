@@ -65,6 +65,16 @@ ctest --preset default --output-on-failure -j "$(nproc)"
 step "chaos fault-injection suite (ctest -L chaos)"
 ctest --preset default -L chaos --output-on-failure
 
+step "no getenv in examples/ or bench/"
+# Example and bench binaries are set up by their flags; the only
+# environment variables are the library's (GC_THREADS, GC_LOG_LEVEL and the
+# GC_TRACE-style observability fallbacks in src/).
+if grep -rn 'getenv' examples bench; then
+  echo "getenv in examples/ or bench/: add a flag instead" >&2
+  exit 1
+fi
+echo "examples/, bench/: no getenv"
+
 step "gclint over src/"
 ./build/tools/gclint/gclint src
 
@@ -134,6 +144,19 @@ assert all(r["flows_completed"] > 0 for r in congested), \
     "contention on but a congested row ran no flows"
 assert all(r.get("failed_calls", 0) == 0 for r in rows), \
     "a campaign lost calls"
+# Striping is the one WAN-engine path left: pin both rows outright so a
+# drift cannot hide behind the ratio gate above.
+pinned = {"1-stream": (2308.961, 23626734138, 12),
+          "4-stream": (1943.806, 23626736918, 42)}
+for r in rows:
+    if r["table"] != "striping":
+        continue
+    got = (r["makespan_s"], r["total_bytes"], r["flows_completed"])
+    assert got == pinned[r["mode"]], \
+        f'striping {r["mode"]} moved: (makespan_s, total_bytes, ' \
+        f'flows_completed) = {got}, pinned {pinned[r["mode"]]}'
+    del pinned[r["mode"]]
+assert not pinned, f"striping rows missing: {sorted(pinned)}"
 print(f'separation {summary["separation"]:.1%}, '
       f'striping gain {summary["striping_gain"]:.2f}x, '
       f'compat digest {compat["science_digest"]}')
@@ -242,10 +265,10 @@ else
   echo "clang-tidy not installed; skipping (config: .clang-tidy)"
 fi
 
-step "line counts (git ls-files src tests bench perfbench tools)"
+step "line counts (git ls-files src tests bench examples perfbench tools)"
 # Tracked across changes: a PR that adds code should say what it deletes.
 if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
-  for dir in src tests bench perfbench tools; do
+  for dir in src tests bench examples perfbench tools; do
     printf '%-9s %7d lines\n' "$dir" "$(git ls-files -z "$dir" | xargs -0 cat | wc -l)"
   done
 else

@@ -28,31 +28,32 @@
 //                                        # on a lossy (per-stream-capped)
 //                                        # backbone
 //
-// Fault plans (--fault-plan, or the GC_FAULT_PLAN environment variable)
-// are spelled "preset[,key=value...]" with presets none, drop-only,
-// crash-only, and mixed; --fault-seed (or GC_FAULT_SEED) makes the whole
-// chaos run replayable bit-for-bit. See DESIGN.md, "Fault model".
+// Every setting is a flag; the binary reads no environment variables of
+// its own (the library's GC_THREADS, GC_LOG_LEVEL and GC_TRACE-style
+// observability fallbacks still apply).
 //
-// Data management (--persistence, or GC_PERSISTENCE) selects volatile
-// (the default: every request ships its input, outputs come home in
-// full) or persistent (inputs and service outputs stay on the SEDs,
-// registered in the hierarchy's replica catalog; repeat requests ship
-// id-only references and missing data travels SED-to-SED). --replicas N
-// (GC_REPLICAS) additionally write-replicates fresh persistent data to N
-// SEDs. See DESIGN.md, "Data management".
+// Fault plans (--fault-plan) are spelled "preset[,key=value...]" with
+// presets none, drop-only, crash-only, and mixed; --fault-seed makes the
+// whole chaos run replayable bit-for-bit. See DESIGN.md, "Fault model".
 //
-// Network contention (--contention, or GC_CONTENTION=1) switches bulk
-// transfers from the closed-form latency+bytes/bw cost to the flow model:
-// concurrent transfers fair-share every link on their route and NFS
-// staging charges the cluster disks. --wan-scale F (GC_WAN_SCALE)
-// narrows the RENATER backbone, --wan-streams K (GC_WAN_STREAMS) stripes
-// bulk dtm pushes over K parallel streams, --wan-per-stream B caps each
-// stream at B bytes/s (the lossy-WAN TCP ceiling striping exists to
-// beat), --wan-relay routes stripes through the requester's LA. See
-// DESIGN.md, "Network & disk model".
+// Data management (--persistence) selects volatile (the default: every
+// request ships its input, outputs come home in full) or persistent
+// (inputs and service outputs stay on the SEDs, registered in the
+// hierarchy's replica catalog; repeat requests ship id-only references
+// and missing data travels SED-to-SED). --replicas N additionally
+// write-replicates fresh persistent data to N SEDs. See DESIGN.md, "Data
+// management".
+//
+// Network contention (--contention) switches bulk transfers from the
+// closed-form latency+bytes/bw cost to the flow model: concurrent
+// transfers fair-share every link on their route and NFS staging charges
+// the cluster disks. --wan-scale F narrows the RENATER backbone,
+// --wan-streams K stripes bulk dtm pushes over K parallel streams, and
+// --wan-per-stream B caps each stream at B bytes/s (the lossy-WAN TCP
+// ceiling striping exists to beat). See DESIGN.md, "Network & disk
+// model".
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/cli.hpp"
 #include "common/log.hpp"
@@ -85,17 +86,8 @@ int main(int argc, char** argv) {
   }
 
   config.fault_plan = args.get("fault-plan", "");
-  if (config.fault_plan.empty()) {
-    if (const char* env_plan = std::getenv("GC_FAULT_PLAN")) {
-      config.fault_plan = env_plan;
-    }
-  }
-  long fault_seed_default = 1;
-  if (const char* env_seed = std::getenv("GC_FAULT_SEED")) {
-    fault_seed_default = std::atol(env_seed);
-  }
-  config.fault_seed = static_cast<std::uint64_t>(
-      args.get_int("fault-seed", fault_seed_default));
+  config.fault_seed =
+      static_cast<std::uint64_t>(args.get_int("fault-seed", 1));
   const bool chaos =
       !config.fault_plan.empty() && config.fault_plan != "none";
 
@@ -106,51 +98,26 @@ int main(int argc, char** argv) {
   config.federation_mas = static_cast<int>(args.get_int("mas", 1));
   const bool print_digest = args.has("digest");
 
-  std::string persistence = args.get("persistence", "");
-  if (persistence.empty()) {
-    if (const char* env_mode = std::getenv("GC_PERSISTENCE")) {
-      persistence = env_mode;
-    }
-  }
+  const std::string persistence = args.get("persistence", "");
   const bool persistent = persistence == "persistent";
   if (!persistence.empty() && !persistent && persistence != "volatile") {
     std::fprintf(stderr, "unknown --persistence '%s' (volatile|persistent)\n",
                  persistence.c_str());
     return 2;
   }
-  long replicas_default = 1;
-  if (const char* env_replicas = std::getenv("GC_REPLICAS")) {
-    replicas_default = std::atol(env_replicas);
-  }
-  config.replicas =
-      static_cast<int>(args.get_int("replicas", replicas_default));
+  config.sed_tuning.replication_factor =
+      static_cast<int>(args.get_int("replicas", 1));
   if (persistent) {
     config.input_mode = gc::diet::Persistence::kPersistent;
     config.services.output_mode = gc::diet::Persistence::kPersistent;
   }
 
-  // Contention flow model + WAN engine. Flags win; GC_ envs supply
-  // defaults so scripted sweeps need no argv surgery.
-  bool contention_default = false;
-  if (const char* env_c = std::getenv("GC_CONTENTION")) {
-    contention_default = std::atol(env_c) != 0;
-  }
-  config.contention = args.has("contention") || contention_default;
-  long streams_default = 1;
-  if (const char* env_s = std::getenv("GC_WAN_STREAMS")) {
-    streams_default = std::atol(env_s);
-  }
-  config.wan_streams =
-      static_cast<int>(args.get_int("wan-streams", streams_default));
-  double wan_scale_default = 1.0;
-  if (const char* env_ws = std::getenv("GC_WAN_SCALE")) {
-    wan_scale_default = std::atof(env_ws);
-  }
-  config.wan_bandwidth_scale = args.get_double("wan-scale", wan_scale_default);
+  // Contention flow model + WAN engine.
+  config.contention = args.has("contention");
+  config.sed_tuning.wan.streams =
+      static_cast<int>(args.get_int("wan-streams", 1));
+  config.wan_bandwidth_scale = args.get_double("wan-scale", 1.0);
   config.wan_per_stream_bps = args.get_double("wan-per-stream", 0.0);
-  config.wan_relay = args.has("wan-relay");
-  config.wan_compression = args.get_double("wan-compression", 0.0);
-  config.wan_compress_bps = args.get_double("wan-compress-bps", 0.0);
 
   std::printf("zoom campaign: %d sub-simulations of %d^3 particles, "
               "%d nested boxes, policy '%s', %d machines/SED\n\n",
@@ -198,16 +165,17 @@ int main(int argc, char** argv) {
                 "concurrent), wan x%.2f, %d stream%s\n",
                 static_cast<unsigned long long>(result.flows_completed),
                 static_cast<unsigned long long>(result.peak_active_flows),
-                config.wan_bandwidth_scale, config.wan_streams,
-                config.wan_streams == 1 ? "" : "s");
+                config.wan_bandwidth_scale, config.sed_tuning.wan.streams,
+                config.sed_tuning.wan.streams == 1 ? "" : "s");
   }
   // Printed only under --persistence so the default report stays
   // byte-identical to the pre-DTM harness.
   if (persistent) {
     std::printf("inter-site (WAN) traffic : %s (persistent data, %d "
                 "replica%s)\n",
-                gc::format_bytes(result.wan_bytes).c_str(), config.replicas,
-                config.replicas == 1 ? "" : "s");
+                gc::format_bytes(result.wan_bytes).c_str(),
+                config.sed_tuning.replication_factor,
+                config.sed_tuning.replication_factor == 1 ? "" : "s");
   }
   std::printf("\n");
 

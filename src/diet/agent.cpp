@@ -366,11 +366,6 @@ void Agent::on_message(const net::Envelope& envelope) {
     case dtm::kDataLocate:
       handle_data_locate(envelope);
       break;
-    case dtm::kDataStripe:
-      handle_data_stripe(envelope);
-      break;
-    case kLoadReport:
-      break;  // monitoring data; agents store nothing extra in this repo
     case kRegisterAck:
       break;
     default:
@@ -979,24 +974,6 @@ void Agent::handle_data_locate(const net::Envelope& envelope) {
   env()->send(net::Envelope{endpoint(), msg.requester_endpoint,
                             dtm::kDataLocation, answer.encode(), 0,
                             envelope.trace_id});
-}
-
-void Agent::handle_data_stripe(const net::Envelope& envelope) {
-  // WAN-engine relay hop: a striped bulk transfer routed through this
-  // agent (MPWide's store-and-forward path segmentation). Forward the
-  // stripe unchanged — same payload, same modeled byte charge, still
-  // out-of-band — to its final receiver.
-  const dtm::DataStripeMsg msg = dtm::DataStripeMsg::decode(envelope.payload);
-  if (msg.dest_endpoint == net::kNullEndpoint ||
-      msg.dest_endpoint == endpoint()) {
-    GC_WARN << "agent " << name_ << ": stripe relay with no onward hop";
-    return;
-  }
-  net::Envelope out{endpoint(), msg.dest_endpoint, dtm::kDataStripe,
-                    envelope.payload, envelope.modeled_extra_bytes,
-                    envelope.trace_id};
-  out.oob = true;
-  env()->send(out);
 }
 
 void Agent::fill_locality(Pending& pending) {

@@ -215,7 +215,6 @@ class Agent final : public net::Actor {
   void handle_data_register(const net::Envelope& envelope);
   void handle_data_unregister(const net::Envelope& envelope);
   void handle_data_locate(const net::Envelope& envelope);
-  void handle_data_stripe(const net::Envelope& envelope);
   /// Drops every replica a (dead/restarted) SED held from this catalog
   /// and, when anything was dropped, tells the parent to do the same.
   void drop_sed_replicas(std::uint64_t sed_uid);

@@ -298,23 +298,4 @@ PeerCandidatesMsg PeerCandidatesMsg::decode(const net::Bytes& payload) {
   return m;
 }
 
-net::Bytes LoadReportMsg::encode() const {
-  net::Writer w;
-  w.u64(sed_uid);
-  w.f64(queue_length);
-  w.f64(queued_work_s);
-  w.u64(jobs_completed);
-  return finish(w);
-}
-
-LoadReportMsg LoadReportMsg::decode(const net::Bytes& payload) {
-  net::Reader r(payload);
-  LoadReportMsg m;
-  m.sed_uid = r.u64();
-  m.queue_length = r.f64();
-  m.queued_work_s = r.f64();
-  m.jobs_completed = r.u64();
-  return m;
-}
-
 }  // namespace gc::diet

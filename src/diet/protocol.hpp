@@ -11,7 +11,7 @@
 //   SED    --kCallResult-----> client                       (OUT/INOUT data)
 //   SED    --kJobDone--------> LA --kJobDone--> MA          (bookkeeping)
 //
-// plus deployment-time registration and periodic load reports.
+// plus deployment-time registration and periodic heartbeats.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +41,7 @@ enum MsgType : std::uint32_t {
   kCallStarted = 21,
   kCallResult = 22,
   kJobDone = 23,
-  kLoadReport = 30,
+  // 30 is retired (it carried periodic SED load reports): never reuse it.
   kHeartbeat = 31,
   // --- MA federation (peer master agents, multi-hierarchy deployments) ---
   kPeerAnnounce = 32,    ///< MA -> peer MA: name/uid + offered services
@@ -205,16 +205,6 @@ struct PeerCandidatesMsg {
 
   net::Bytes encode() const;
   static PeerCandidatesMsg decode(const net::Bytes& payload);
-};
-
-struct LoadReportMsg {
-  std::uint64_t sed_uid = 0;
-  double queue_length = 0.0;
-  double queued_work_s = 0.0;
-  std::uint64_t jobs_completed = 0;
-
-  net::Bytes encode() const;
-  static LoadReportMsg decode(const net::Bytes& payload);
 };
 
 }  // namespace gc::diet

@@ -54,10 +54,6 @@ struct SedTuning {
   double delay_noise_cv = 0.06;
   /// Concurrent jobs this SED may run (the paper's deployment: 1).
   int concurrency = 1;
-  /// Period of unsolicited load reports to the parent LA ("answer to
-  /// monitoring queries from its responsible Local Agent", Section 2.2).
-  /// 0 disables them.
-  double load_report_period = 0.0;
   /// Byte budget of the persistent data store (DIET's DTM); 0 = unbounded.
   std::int64_t data_store_max_bytes = 0;
   /// Desired total replica count for data stored here: >1 asks the parent
@@ -69,8 +65,8 @@ struct SedTuning {
   /// Period of liveness heartbeats to the parent agent; 0 disables them
   /// (the default, so fault-free runs send no extra messages).
   double heartbeat_period = 0.0;
-  /// MPWide-style WAN transfer engine for bulk dtm pushes (striping,
-  /// relay, compression). Defaults are the classic single-stream push.
+  /// MPWide-style WAN transfer engine for bulk dtm pushes (striping).
+  /// Defaults are the classic single-stream push.
   dtm::WanTuning wan;
   /// Scratch directory for real service executions.
   std::string work_dir = "/tmp";
@@ -91,7 +87,7 @@ class Sed final : public net::Actor {
       double host_power, int machines, SedTuning tuning, std::uint64_t seed);
 
   /// Announces this SED and its service table to a parent agent
-  /// (diet_SeD's registration step) and starts periodic load reports when
+  /// (diet_SeD's registration step) and starts periodic heartbeats when
   /// configured.
   void register_at(net::Endpoint parent);
 
@@ -109,9 +105,9 @@ class Sed final : public net::Actor {
   /// retried calls at-most-once-executed across a crash-restart.
   void restart();
 
-  /// Stops the periodic loops (heartbeats, load reports) without failing
-  /// the SED. RealEnv tests call this before Env::stop(), which waits for
-  /// an empty queue and would otherwise never see one.
+  /// Stops the periodic heartbeat loop without failing the SED. RealEnv
+  /// tests call this before Env::stop(), which waits for an empty queue
+  /// and would otherwise never see one.
   void shutdown();
 
   void on_message(const net::Envelope& envelope) override;
@@ -187,8 +183,7 @@ class Sed final : public net::Actor {
                     const net::Bytes& value, std::int64_t charged_bytes,
                     obs::TraceId trace);
   /// Ships `data_id` to `requester`: one classic push, or — when the WAN
-  /// engine says so — striped parallel out-of-band streams, optionally
-  /// relayed through the requester's parent agent.
+  /// engine says so — striped parallel out-of-band streams.
   void push_data(const dtm::DataPullMsg& msg, net::Endpoint requester,
                  obs::TraceId trace);
   /// Runs the admission tail (estimator, spans, queue) for a job whose
@@ -204,7 +199,6 @@ class Sed final : public net::Actor {
   /// the client falls back to a full-data resend.
   void fail_fetch(const std::string& id);
   void start_next();
-  void arm_load_report();
   void arm_heartbeat();
   [[nodiscard]] sched::Estimation make_estimation(const ProfileDesc& request);
   [[nodiscard]] double noisy(double base);

@@ -92,9 +92,6 @@ net::Bytes DataPullMsg::encode() const {
   net::Writer w;
   w.str(data_id);
   w.u64(requester_uid);
-  // Trailing-optional: absent when null, so plain pulls keep their
-  // pre-WAN-engine encoding.
-  if (relay_endpoint != net::kNullEndpoint) w.u32(relay_endpoint);
   return w.take();
 }
 
@@ -103,7 +100,6 @@ DataPullMsg DataPullMsg::decode(const net::Bytes& payload) {
   DataPullMsg m;
   m.data_id = r.str();
   m.requester_uid = r.u64();
-  if (r.remaining() > 0) m.relay_endpoint = r.u32();
   return m;
 }
 

@@ -96,11 +96,6 @@ struct DataLocationMsg {
 struct DataPullMsg {
   std::string data_id;
   std::uint64_t requester_uid = 0;
-  /// WAN-engine relay hint: when non-null, striped replies may be routed
-  /// through this agent (the requester's parent LA) instead of directly,
-  /// store-and-forward — the MPWide-style multi-hop path. Trailing-
-  /// optional on the wire so plain pulls keep their classic encoding.
-  net::Endpoint relay_endpoint = net::kNullEndpoint;
 
   net::Bytes encode() const;
   static DataPullMsg decode(const net::Bytes& payload);
@@ -122,10 +117,8 @@ struct DataPushMsg {
 /// splits a big push into `stripe_count` stripes, each sent as its own
 /// out-of-band envelope (= its own parallel connection under the flow
 /// model); stripe 0 carries the serialized value, the rest charge their
-/// slice via Envelope::modeled_extra_bytes. Stripes may hop through an
-/// agent (relay) that forwards them to `dest_endpoint`; the receiving SED
-/// reassembles by `transfer_id` and completes the fetch when all stripes
-/// arrived.
+/// slice via Envelope::modeled_extra_bytes. The receiving SED reassembles
+/// by `transfer_id` and completes the fetch when all stripes arrived.
 struct DataStripeMsg {
   std::uint64_t transfer_id = 0;  ///< (holder uid << 32) | counter
   std::string data_id;
@@ -134,7 +127,10 @@ struct DataStripeMsg {
   bool found = false;
   net::Bytes value;  ///< serialized ArgValue; only on stripe 0
   std::int64_t total_bytes = 0;  ///< full transfer size (all stripes)
-  net::Endpoint dest_endpoint = net::kNullEndpoint;  ///< final receiver
+  /// Always the envelope's receiver. Kept on the wire because its 4 bytes
+  /// are part of every stripe's modeled size: dropping it would shift the
+  /// flow-model timing of every striped transfer.
+  net::Endpoint dest_endpoint = net::kNullEndpoint;
 
   net::Bytes encode() const;
   static DataStripeMsg decode(const net::Bytes& payload);

@@ -148,20 +148,13 @@ class UniformTopology final : public Topology {
     out.clear();
     if (a == b) return;
     out.latency_s = latency_;
-    out.add(LinkRef{linkkey::make(linkkey::kNicOut, a), bandwidth_,
-                    per_flow_cap_bps_});
-    out.add(LinkRef{linkkey::make(linkkey::kNicIn, b), bandwidth_,
-                    per_flow_cap_bps_});
+    out.add(LinkRef{linkkey::make(linkkey::kNicOut, a), bandwidth_, 0.0});
+    out.add(LinkRef{linkkey::make(linkkey::kNicIn, b), bandwidth_, 0.0});
   }
-
-  /// Per-flow rate ceiling applied to both NICs (0 = none). Tests use it
-  /// to model a lossy link where striping beats a single stream.
-  void set_per_flow_cap(double bps) { per_flow_cap_bps_ = bps; }
 
  private:
   double latency_;
   double bandwidth_;
-  double per_flow_cap_bps_ = 0.0;
 };
 
 }  // namespace gc::net

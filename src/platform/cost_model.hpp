@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cmath>
-#include <cstdint>
 
 #include "common/rng.hpp"
 
@@ -93,48 +92,6 @@ class RamsesCostModel {
   }
 
   Tuning tuning_;
-};
-
-/// Closed-form estimate of a striped, disk-staged bulk transfer: the
-/// planning-side counterpart of the dynamic net::FlowModel + dtm WAN
-/// engine. An uncontended best case — the flow model charges more when
-/// other transfers share the links. bench_network prints it next to the
-/// measured makespans; schedulers use Env::estimate_transfer_s (which
-/// sees live congestion) instead.
-class TransferCostModel {
- public:
-  struct Path {
-    double latency_s = 0.0;
-    double path_bps = 0.0;        ///< bottleneck network capacity
-    double per_stream_bps = 0.0;  ///< single-flow TCP ceiling (0 = none)
-    double disk_read_bps = 0.0;   ///< source NFS stage (0 = unmodeled)
-    double disk_write_bps = 0.0;  ///< destination NFS stage (0 = unmodeled)
-  };
-
-  /// One bulk transfer of `bytes` over `path` with `streams` parallel
-  /// stripes and a modeled-compression ratio in [0, 1) shaving payload.
-  [[nodiscard]] static double transfer_s(const Path& path, std::int64_t bytes,
-                                         int streams = 1,
-                                         double compression = 0.0) {
-    if (bytes <= 0 || path.path_bps <= 0.0) return path.latency_s;
-    if (streams < 1) streams = 1;
-    if (compression < 0.0) compression = 0.0;
-    if (compression >= 1.0) compression = 0.99;
-    double aggregate = path.path_bps;
-    if (path.per_stream_bps > 0.0) {
-      const double striped = path.per_stream_bps * streams;
-      if (striped < aggregate) aggregate = striped;
-    }
-    if (path.disk_read_bps > 0.0 && path.disk_read_bps < aggregate) {
-      aggregate = path.disk_read_bps;
-    }
-    if (path.disk_write_bps > 0.0 && path.disk_write_bps < aggregate) {
-      aggregate = path.disk_write_bps;
-    }
-    const double wire_bytes =
-        static_cast<double>(bytes) * (1.0 - compression);
-    return path.latency_s + wire_bytes / aggregate;
-  }
 };
 
 }  // namespace gc::platform

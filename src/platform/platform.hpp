@@ -84,13 +84,6 @@ class Platform final : public net::Topology {
     wan_scale_ = factor;
   }
 
-  /// NFS bandwidth override for one cluster's disk stage.
-  void set_cluster_nfs(ClusterId id, double read_bps, double write_bps) {
-    GC_CHECK(id < clusters_.size());
-    clusters_[id].nfs_read_bps = read_bps;
-    clusters_[id].nfs_write_bps = write_bps;
-  }
-
   // --- net::Topology ---
   [[nodiscard]] double latency(net::NodeId a, net::NodeId b) const override;
   [[nodiscard]] double bandwidth(net::NodeId a, net::NodeId b) const override;

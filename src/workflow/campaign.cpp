@@ -127,18 +127,6 @@ CampaignResult run_grid5000_campaign(const CampaignConfig& config) {
     // that burned its whole attempt budget is resubmitted from scratch.
     if (cfg.max_retries == 0) cfg.max_retries = 3;
   }
-  if (cfg.replicas > 1) {
-    cfg.sed_tuning.replication_factor = cfg.replicas;
-  }
-  // WAN-engine knobs reach the SEDs through their tuning; only non-default
-  // values are applied so a caller-set sed_tuning.wan survives.
-  if (cfg.wan_streams > 1) cfg.sed_tuning.wan.streams = cfg.wan_streams;
-  if (cfg.wan_relay) cfg.sed_tuning.wan.relay = true;
-  if (cfg.wan_compression > 0.0) {
-    cfg.sed_tuning.wan.compression = cfg.wan_compression;
-    cfg.sed_tuning.wan.compress_bps = cfg.wan_compress_bps;
-  }
-
   platform::G5kOptions g5k_options;
   g5k_options.wan_bandwidth_scale = cfg.wan_bandwidth_scale;
   g5k_options.wan_per_stream_bps = cfg.wan_per_stream_bps;

@@ -42,6 +42,8 @@ struct CampaignConfig {
   std::uint64_t tie_break_seed = 0;
   ServiceOptions services;        ///< mode defaults to kSim
   diet::AgentTuning agent_tuning; ///< calibrated defaults
+  /// Calibrated defaults; WAN striping (`wan.streams`) and persistent-data
+  /// write-replication (`replication_factor`) are set here too.
   diet::SedTuning sed_tuning;
 
   /// Scripted process faults on the deployment's flat SED/LA indexes,
@@ -59,10 +61,6 @@ struct CampaignConfig {
   std::int64_t shipped_input_bytes = 4096;
   /// Persistence mode of that input (kPersistent enables the DTM path).
   diet::Persistence input_mode = diet::Persistence::kVolatile;
-  /// Write-replication factor for persistent data (1 = holder only). The
-  /// holder's parent LA fans fresh registrations out to this many SEDs,
-  /// so a crash still leaves a live replica to pull from.
-  int replicas = 1;
 
   /// Chaos experiment: a fault::parse_plan spelling ("" or "none" = off).
   /// When active, the plan's tolerance knobs (client retries, heartbeats)
@@ -79,13 +77,6 @@ struct CampaignConfig {
   /// priced instantly on an idle network. Off by default — the paper's
   /// closed-form costs — and bit-identical to the pre-flow-model runs.
   bool contention = false;
-  /// MPWide-style WAN engine knobs, applied to every SED's bulk dtm
-  /// pushes when set: parallel stripes per transfer (>1 enables striping),
-  /// relay through the requester's LA, modeled compression.
-  int wan_streams = 1;
-  bool wan_relay = false;
-  double wan_compression = 0.0;
-  double wan_compress_bps = 0.0;
   /// Scales every RENATER WAN link's bandwidth (1.0 = the paper's 2.5
   /// Gb/s); < 1 narrows the backbone to provoke congestion.
   double wan_bandwidth_scale = 1.0;

@@ -242,17 +242,6 @@ TEST(CodecFuzz, JobDoneMsg) {
   });
 }
 
-TEST(CodecFuzz, LoadReportMsg) {
-  roundtrip<diet::LoadReportMsg>([](Rng& rng) {
-    diet::LoadReportMsg msg;
-    msg.sed_uid = rng.next_u64();
-    msg.queue_length = rng.uniform(0.0, 100.0);
-    msg.queued_work_s = rng.uniform(0.0, 1e5);
-    msg.jobs_completed = rng.next_u64();
-    return msg;
-  });
-}
-
 TEST(CodecFuzz, HeartbeatMsg) {
   roundtrip<diet::HeartbeatMsg>([](Rng& rng) {
     diet::HeartbeatMsg msg;
@@ -456,6 +445,22 @@ TEST(CodecFuzz, DataPushMsg) {
     msg.found = rng.uniform_u64(2) == 1;
     msg.value = random_bytes(rng);
     msg.charged_bytes = static_cast<std::int64_t>(rng.uniform_u64(1ULL << 40));
+    return msg;
+  });
+}
+
+TEST(CodecFuzz, DataStripeMsg) {
+  roundtrip<dtm::DataStripeMsg>([](Rng& rng) {
+    dtm::DataStripeMsg msg;
+    msg.transfer_id = rng.next_u64();
+    msg.data_id = random_name(rng);
+    msg.stripe_count = static_cast<std::uint32_t>(rng.uniform_u64(16)) + 1;
+    msg.stripe_index = static_cast<std::uint32_t>(
+        rng.uniform_u64(msg.stripe_count));
+    msg.found = rng.uniform_u64(2) == 1;
+    if (msg.stripe_index == 0) msg.value = random_bytes(rng);
+    msg.total_bytes = static_cast<std::int64_t>(rng.uniform_u64(1ULL << 40));
+    msg.dest_endpoint = static_cast<net::Endpoint>(rng.uniform_u64(1 << 16));
     return msg;
   });
 }

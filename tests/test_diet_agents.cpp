@@ -356,48 +356,6 @@ TEST(Agents, UnresponsiveChildEvictedAfterStrikes) {
   EXPECT_LT(finding_times[3], 0.5);
 }
 
-TEST(Agents, PeriodicLoadReportsFlow) {
-  // A SED with load_report_period sends kLoadReport to its LA; agents
-  // must absorb them without disruption while calls proceed.
-  des::Engine engine;
-  net::UniformTopology topology(1e-3, 1e9);
-  net::SimEnv env(engine, topology);
-  naming::Registry registry;
-  ServiceTable services;
-  register_double(services, 5.0);
-
-  DeploymentSpec spec;
-  spec.ma_node = 0;
-  spec.sed_tuning.load_report_period = 0.5;
-  DeploymentSpec::LaSpec la;
-  la.name = "LA";
-  la.node = 1;
-  DeploymentSpec::SedSpec sed;
-  sed.name = "SeD";
-  sed.node = 2;
-  la.sed_indexes.push_back(0);
-  spec.seds.push_back(sed);
-  spec.las.push_back(la);
-  Deployment deployment(env, registry, services, spec);
-
-  Client client("client");
-  env.attach(client, 0);
-  client.connect(registry.resolve("MA1").value());
-  engine.run_until(engine.now() + 1.0);  // let registration settle
-
-  bool done = false;
-  client.call_async(double_profile(7),
-                    [&](const gc::Status& s, Profile&) {
-                      EXPECT_TRUE(s.is_ok());
-                      done = true;
-                    });
-  engine.run_until(20.0);
-  EXPECT_TRUE(done);
-  // Reports keep flowing forever; the engine still has the next one
-  // pending (periodic self-rescheduling).
-  EXPECT_GT(engine.events_pending(), 0u);
-}
-
 // --- Fan-out bookkeeping: which children a collect is sent to ------------
 // Each agent caches its per-service fan-out list and drops it in one place
 // (children_changed). These tests pin every event that must change the
