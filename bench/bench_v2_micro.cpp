@@ -20,11 +20,13 @@
 #include "diet/profile.hpp"
 #include "grafic/ic.hpp"
 #include "halo/halomaker.hpp"
+#include "io/namelist.hpp"
 #include "math/fft.hpp"
 #include "net/codec.hpp"
 #include "parallel/pool.hpp"
 #include "parallel_json.hpp"
 #include "ramses/pm.hpp"
+#include "ramses/simulation.hpp"
 
 namespace {
 
@@ -329,6 +331,61 @@ int run_parallel_sweep(const std::string& path) {
       }
     }
     record("fof", static_cast<long>(n), ms);
+  }
+
+  // FoF on the four outputs of campaign_real's first zoom2 job: 16^3, two
+  // nested levels, 24 steps, centred on zoom1's heaviest halo at 128 cells
+  // a side, as the campaign places it (its namelist round trip included).
+  // Velocities are zero: they do not change which pairs link.
+  {
+    gc::ramses::RunParams shipped;
+    shipped.npart_dim = 128;
+    shipped.box_mpc = 100.0;
+    auto params = gc::ramses::RunParams::from_namelist(
+                      gc::io::Namelist::parse(shipped.to_namelist()).value())
+                      .value();
+    params.npart_dim = 16;
+    params.pm_grid = 32;
+    params.steps = 24;
+    params.seed = 1000;
+    params.aout = {0.4, 0.6, 0.8, 1.0};
+    std::vector<double> zeros;
+    auto fof = [&](const gc::ramses::Snapshot& snap) {
+      const gc::ramses::ParticleSet& q = snap.particles;
+      zeros.assign(q.size(), 0.0);
+      return gc::halo::find_halos(
+          {&q.x, &q.y, &q.z, &zeros, &zeros, &zeros, &q.mass, &q.id},
+          snap.aexp, snap.box_mpc, gc::halo::FofOptions{0.2, 8});
+    };
+    const gc::halo::Halo halo =
+        fof(gc::ramses::run_simulation(params).snapshots.back()).halos.front();
+    const double cell = params.box_mpc / 128.0;
+    const int cx = static_cast<int>(halo.x * 128);
+    params.seed = 2000 + static_cast<std::uint64_t>(cx);
+    params.zoom_levels = 2;
+    params.zoom_centre = {cx * cell, static_cast<int>(halo.y * 128) * cell,
+                          static_cast<int>(halo.z * 128) * cell};
+    const gc::ramses::RunResult zoom2 = gc::ramses::run_simulation(params);
+    std::vector<double> reference;  // halo masses of every output
+    std::vector<double> ms;
+    for (const std::size_t t : thread_counts) {
+      gc::parallel::set_thread_count(t);
+      ms.push_back(time_ms(5, [&] {
+        for (const auto& snap : zoom2.snapshots) {
+          benchmark::DoNotOptimize(fof(snap));
+        }
+      }));
+      std::vector<double> masses;
+      for (const auto& snap : zoom2.snapshots) {
+        for (const auto& h : fof(snap).halos) masses.push_back(h.mass);
+      }
+      if (t == thread_counts.front()) {
+        reference = masses;
+      } else {
+        deterministic &= same_bytes(reference, masses);
+      }
+    }
+    record("fof_zoom2", static_cast<long>(zoom2.particle_count), ms);
   }
 
   gc::parallel::set_thread_count(0);

@@ -59,6 +59,29 @@ PM_SHA=$(./build/examples/pm_simulation --n 16 --steps 8 --zoom 2 --threads 4 |
 }
 echo "pm_simulation --n 16 --steps 8 --zoom 2 --threads 4: sha256 pinned"
 
+step "galaxy_pipeline results tarball pinned (FoF on five snapshots)"
+# HaloMaker on every output, TreeMaker and GalaxyMaker, packed as a
+# ramsesZoom2 call ships them: the FoF cell table and pair sweep must
+# leave every catalog byte where it was.
+GPD=$(mktemp -d)
+./build/examples/galaxy_pipeline --out "$GPD/results.tar" > /dev/null
+GP_SHA=$(sha256sum "$GPD/results.tar" | cut -d' ' -f1)
+rm -rf "$GPD"
+[[ "$GP_SHA" == "e1d6131199bc03105f6fa757f829c7f59cdb2b8720b9aa9fc1c513603d789a61" ]] || {
+  echo "galaxy_pipeline results tarball moved: sha256 $GP_SHA" >&2
+  exit 1
+}
+echo "galaxy_pipeline --out <tmp>/results.tar: sha256 pinned"
+
+step "no thread pool in src/halo/"
+# FoF is one serial sweep: in a campaign it runs inside a pool job, where
+# regions run inline anyway.
+if grep -rn 'parallel::' src/halo; then
+  echo "src/halo/ references parallel::: FoF runs serially" >&2
+  exit 1
+fi
+echo "src/halo/: no parallel::"
+
 step "unit tests"
 ctest --preset default --output-on-failure -j "$(nproc)"
 

@@ -1,6 +1,7 @@
 #include "halo/halomaker.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <span>
@@ -9,46 +10,10 @@
 #include "common/strings.hpp"
 #include "io/fortran.hpp"
 #include "math/grid3.hpp"
-#include "parallel/pool.hpp"
 
 namespace gc::halo {
 
 namespace {
-
-/// Union-find with path halving.
-class DisjointSets {
- public:
-  explicit DisjointSets(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), std::size_t{0});
-  }
-
-  std::size_t find(std::size_t v) {
-    while (parent_[v] != v) {
-      parent_[v] = parent_[parent_[v]];
-      v = parent_[v];
-    }
-    return v;
-  }
-
-  void unite(std::size_t a, std::size_t b) {
-    a = find(a);
-    b = find(b);
-    if (a != b) parent_[a] = b;
-  }
-
-  /// Folds another partition over the same elements into this one: the
-  /// result's components are the transitive closure of both edge sets,
-  /// independent of merge order.
-  void merge(DisjointSets& other) {
-    for (std::size_t v = 0; v < parent_.size(); ++v) {
-      const std::size_t root = other.find(v);
-      if (root != v) unite(v, root);
-    }
-  }
-
- private:
-  std::vector<std::size_t> parent_;
-};
 
 double periodic_delta(double a, double b) {
   double d = a - b;
@@ -74,12 +39,13 @@ HaloCatalog find_halos(const ParticleView& particles, double aexp,
   const double ll2 = ll * ll;
 
   // Linked cells: cell size >= ll so friends live in the 27-neighborhood.
-  // Only occupied cells are stored, so the table is O(n) at any ncell:
-  // sorting (cell, particle) pairs gives the slot order, occupied cell c
-  // is `keys[c]` with slots [start[c], start[c+1]) in ascending particle
-  // order, and an open-addressing table maps a cell key back to c. The
-  // positions are copied into slot order so the pair sweep streams
-  // contiguous memory.
+  // One occupancy bit per cell, plus the running popcount of the words
+  // before each 64-bit word, gives occupied cell c as the rank of its bit
+  // (a miss costs one bit test). A counting sort by c gives the slot order,
+  // ascending particle order within each cell: cell c holds slots
+  // [start[c], start[c+1]). The positions are copied into slot order so
+  // the pair sweep streams contiguous memory.
+  GC_CHECK(n <= UINT32_MAX);
   const auto ncell = std::max<std::size_t>(
       1, std::min<std::size_t>(256, static_cast<std::size_t>(1.0 / ll)));
   const double ncd = static_cast<double>(ncell);
@@ -89,118 +55,119 @@ HaloCatalog find_halos(const ParticleView& particles, double aexp,
     auto k = std::min(static_cast<std::size_t>(z * ncd), ncell - 1);
     return static_cast<std::uint32_t>((i * ncell + j) * ncell + k);
   };
-  std::vector<std::uint32_t> slot_particle(n);
-  std::vector<double> sx(n), sy(n), sz(n);
-  std::vector<std::uint32_t> keys;
-  std::vector<std::uint32_t> start;
-  {
-    std::vector<std::uint64_t> order(n);  // cell << 32 | particle
-    for (std::size_t p = 0; p < n; ++p) {
-      order[p] = static_cast<std::uint64_t>(cell_index(
-                     (*particles.x)[p], (*particles.y)[p], (*particles.z)[p]))
-                     << 32 |
-                 p;
-    }
-    std::sort(order.begin(), order.end());
-    for (std::size_t slot = 0; slot < n; ++slot) {
-      const auto cell = static_cast<std::uint32_t>(order[slot] >> 32);
-      const auto p = static_cast<std::uint32_t>(order[slot]);
-      if (keys.empty() || keys.back() != cell) {
-        keys.push_back(cell);
-        start.push_back(static_cast<std::uint32_t>(slot));
-      }
-      slot_particle[slot] = p;
-      sx[slot] = (*particles.x)[p];
-      sy[slot] = (*particles.y)[p];
-      sz[slot] = (*particles.z)[p];
-    }
-    start.push_back(static_cast<std::uint32_t>(n));
+  std::vector<std::uint64_t> bits((ncell * ncell * ncell + 63) / 64);
+  std::vector<std::uint32_t> rank(bits.size());
+  std::vector<std::uint32_t> cell_of(n);  // key, then occupied index
+  for (std::size_t p = 0; p < n; ++p) {
+    cell_of[p] = cell_index((*particles.x)[p], (*particles.y)[p],
+                            (*particles.z)[p]);
+    bits[cell_of[p] >> 6] |= std::uint64_t{1} << (cell_of[p] & 63);
   }
-  const std::size_t occupied = keys.size();
-  constexpr std::uint32_t kNoCell = 0xffffffffu;
-  int bits = 1;
-  while ((std::size_t{1} << bits) < 2 * occupied) ++bits;
-  const std::size_t mask = (std::size_t{1} << bits) - 1;
-  std::vector<std::uint32_t> lookup(mask + 1, kNoCell);
-  auto bucket = [&](std::uint32_t key) {
-    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >>
-                                    (64 - bits));
+  std::uint32_t occupied = 0;
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    rank[w] = occupied;
+    occupied += static_cast<std::uint32_t>(std::popcount(bits[w]));
+  }
+  auto occupied_index = [&](std::uint32_t key) {
+    const std::uint64_t below = (std::uint64_t{1} << (key & 63)) - 1;
+    return rank[key >> 6] +
+           static_cast<std::uint32_t>(std::popcount(bits[key >> 6] & below));
   };
-  for (std::size_t c = 0; c < occupied; ++c) {
-    std::size_t h = bucket(keys[c]);
-    while (lookup[h] != kNoCell) h = (h + 1) & mask;
-    lookup[h] = static_cast<std::uint32_t>(c);
+  std::vector<std::uint32_t> start(occupied + 1, 0);
+  for (std::size_t p = 0; p < n; ++p) {
+    cell_of[p] = occupied_index(cell_of[p]);
+    ++start[cell_of[p]];
   }
-  auto find_cell = [&](std::uint32_t key) {
-    for (std::size_t h = bucket(key); lookup[h] != kNoCell;
-         h = (h + 1) & mask) {
-      if (keys[lookup[h]] == key) return lookup[h];
+  // Running sum to cell ends, then fill backwards so each end walks down to
+  // its cell's start.
+  for (std::uint32_t c = 1; c <= occupied; ++c) start[c] += start[c - 1];
+  std::vector<std::uint32_t> slot_of(n);
+  std::vector<double> sx(n), sy(n), sz(n);
+  for (std::size_t p = n; p-- > 0;) {
+    const std::uint32_t slot = --start[cell_of[p]];
+    slot_of[p] = slot;
+    sx[slot] = (*particles.x)[p];
+    sy[slot] = (*particles.y)[p];
+    sz[slot] = (*particles.z)[p];
+  }
+
+  // One union-find over slots, with path halving.
+  std::vector<std::uint32_t> parent(n);
+  std::iota(parent.begin(), parent.end(), std::uint32_t{0});
+  auto find = [&](std::uint32_t v) {
+    while (parent[v] != v) {
+      parent[v] = parent[parent[v]];
+      v = parent[v];
     }
-    return kNoCell;
+    return v;
+  };
+  // One pair test: unites the two slots if they are friends.
+  auto link = [&](std::uint32_t a, std::uint32_t b) {
+    const double dx = periodic_delta(sx[a], sx[b]);
+    const double dy = periodic_delta(sy[a], sy[b]);
+    const double dz = periodic_delta(sz[a], sz[b]);
+    if (dx * dx + dy * dy + dz * dz > ll2) return false;
+    parent[find(a)] = find(b);
+    return true;
   };
 
-  // Pair sweep over fixed ranges of the occupied cells, each range
-  // building its own union-find; the per-range partitions are folded
-  // together afterwards in ascending range order. Connected components are
-  // the transitive closure of the pair relation, so the result is
-  // independent of how cells are chunked or interleaved across threads.
+  // Pass 1: every cell's own pairs. A cell is joined when all its members
+  // then share one root.
+  std::vector<char> joined(occupied);
+  for (std::uint32_t c = 0; c < occupied; ++c) {
+    for (std::uint32_t a = start[c]; a < start[c + 1]; ++a) {
+      for (std::uint32_t b = a + 1; b < start[c + 1]; ++b) link(a, b);
+    }
+    const std::uint32_t root = find(start[c]);
+    joined[c] = 1;
+    for (std::uint32_t a = start[c] + 1; a < start[c + 1] && joined[c]; ++a) {
+      joined[c] = find(a) == root;
+    }
+  }
+
+  // Pass 2: each cell against its 13 forward neighbours, testing only the
+  // pairs that can still merge two components. With cell `ca` joined, a
+  // member of `cb` already in its component is skipped and any other needs
+  // one link into `ca`; with both joined, the first link (or a shared root)
+  // settles the pair of cells. The groups are the connected components, so
+  // every skipped test could not have changed them.
+  auto sweep_pair = [&](std::uint32_t ca, std::uint32_t cb) {
+    for (std::uint32_t b = start[cb]; b < start[cb + 1]; ++b) {
+      if (joined[ca] && find(b) == find(start[ca])) {
+        if (joined[cb]) return;
+        continue;
+      }
+      for (std::uint32_t a = start[ca]; a < start[ca + 1]; ++a) {
+        if (link(a, b) && joined[ca]) break;
+      }
+    }
+  };
+  static const int kOffsets[13][3] = {
+      {1, 0, 0},  {-1, 1, 0}, {0, 1, 0},  {1, 1, 0}, {-1, -1, 1},
+      {0, -1, 1}, {1, -1, 1}, {-1, 0, 1}, {0, 0, 1}, {1, 0, 1},
+      {-1, 1, 1}, {0, 1, 1},  {1, 1, 1}};
   const long nc = static_cast<long>(ncell);
-  auto sweep_cells = [&](DisjointSets& sets, std::size_t cell_begin,
-                         std::size_t cell_end) {
-    for (std::size_t c = cell_begin; c < cell_end; ++c) {
-      const std::uint32_t cell = keys[c];
-      const std::uint32_t home_begin = start[c];
-      const std::uint32_t home_end = start[c + 1];
-      const long ci = static_cast<long>(cell / (ncell * ncell));
-      const long cj = static_cast<long>((cell / ncell) % ncell);
-      const long ck = static_cast<long>(cell % ncell);
-      // Half of the 27 neighbors (plus self) to visit each pair once.
-      static const int kOffsets[14][3] = {
-          {0, 0, 0},  {1, 0, 0},  {-1, 1, 0}, {0, 1, 0},  {1, 1, 0},
-          {-1, -1, 1}, {0, -1, 1}, {1, -1, 1}, {-1, 0, 1}, {0, 0, 1},
-          {1, 0, 1},  {-1, 1, 1}, {0, 1, 1},  {1, 1, 1}};
+  std::uint32_t c = 0;
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    for (std::uint64_t m = bits[w]; m != 0; m &= m - 1, ++c) {
+      const long key = static_cast<long>(w * 64) + std::countr_zero(m);
+      const long ci = key / (nc * nc);
+      const long cj = (key / nc) % nc;
+      const long ck = key % nc;
       for (const auto& off : kOffsets) {
-        const auto ni = static_cast<std::size_t>(math::wrap(ci + off[0], nc));
-        const auto nj = static_cast<std::size_t>(math::wrap(cj + off[1], nc));
-        const auto nk = static_cast<std::size_t>(math::wrap(ck + off[2], nc));
-        const std::uint32_t other =
-            find_cell(static_cast<std::uint32_t>((ni * ncell + nj) * ncell + nk));
-        if (other == kNoCell) continue;
-        const std::uint32_t other_end = start[other + 1];
-        const bool same = off[0] == 0 && off[1] == 0 && off[2] == 0;
-        for (std::uint32_t a = home_begin; a < home_end; ++a) {
-          const double ax = sx[a];
-          const double ay = sy[a];
-          const double az = sz[a];
-          for (std::uint32_t b = same ? a + 1 : start[other]; b < other_end;
-               ++b) {
-            const double dx = periodic_delta(ax, sx[b]);
-            const double dy = periodic_delta(ay, sy[b]);
-            const double dz = periodic_delta(az, sz[b]);
-            if (dx * dx + dy * dy + dz * dz <= ll2) {
-              sets.unite(slot_particle[a], slot_particle[b]);
-            }
-          }
+        const auto other = static_cast<std::uint32_t>(
+            (math::wrap(ci + off[0], nc) * nc + math::wrap(cj + off[1], nc)) *
+                nc +
+            math::wrap(ck + off[2], nc));
+        if ((bits[other >> 6] >> (other & 63) & 1) == 0) continue;
+        const std::uint32_t o = occupied_index(other);
+        if (joined[o] && !joined[c]) {
+          sweep_pair(o, c);
+        } else {
+          sweep_pair(c, o);
         }
       }
     }
-  };
-
-  DisjointSets sets(n);
-  const std::size_t cell_grain =
-      std::max<std::size_t>(1, (occupied + 7) / 8);  // <= 8 local partitions
-  const std::size_t nchunks = parallel::chunk_count(0, occupied, cell_grain);
-  if (nchunks <= 1 || parallel::thread_count() == 1 ||
-      parallel::in_parallel_region()) {
-    sweep_cells(sets, 0, occupied);
-  } else {
-    std::vector<DisjointSets> partials(nchunks, DisjointSets(n));
-    parallel::for_each_chunk(
-        0, occupied, cell_grain,
-        [&](std::size_t c, std::size_t begin, std::size_t end) {
-          sweep_cells(partials[c], begin, end);
-        });
-    for (auto& partial : partials) sets.merge(partial);
   }
 
   // Collect groups, numbered by their lowest member, into one flat list:
@@ -213,7 +180,7 @@ HaloCatalog find_halos(const ParticleView& particles, double aexp,
     std::vector<std::uint32_t> group_of(n, kNoGroup);  // by root
     std::vector<std::uint32_t> particle_group(n);
     for (std::size_t p = 0; p < n; ++p) {
-      const std::size_t root = sets.find(p);
+      const std::uint32_t root = find(slot_of[p]);
       if (group_of[root] == kNoGroup) {
         group_of[root] = static_cast<std::uint32_t>(group_start.size());
         group_start.push_back(0);

@@ -1,10 +1,9 @@
 // Shared intra-process thread pool for the numerical kernels.
 //
-// The FFT pencil loops, the PM deposit/interpolation/leapfrog sweeps, the
-// GRAFIC k-space loops and the FoF cell sweep are all embarrassingly (or
-// reducibly) parallel; this module gives them one lazily-initialized pool
-// instead of each spinning its own threads next to RealEnv's execute
-// threads.
+// The FFT pencil loops, the PM deposit/interpolation/leapfrog sweeps and
+// the GRAFIC k-space loops are all embarrassingly (or reducibly) parallel;
+// this module gives them one lazily-initialized pool instead of each
+// spinning its own threads next to RealEnv's execute threads.
 //
 // Determinism contract (relied on by test_parallel and the snapshot
 // byte-identity guarantee):

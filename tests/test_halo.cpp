@@ -422,6 +422,17 @@ void expect_same_catalog(const HaloCatalog& got, const HaloCatalog& want,
   }
 }
 
+/// find_halos at 1 and 4 threads against the oracle's catalog.
+void expect_matches_reference(const Particles& p, const FofOptions& options,
+                              const HaloCatalog& want) {
+  for (const std::size_t threads : {1, 4}) {
+    parallel::set_thread_count(threads);
+    expect_same_catalog(find_halos(p.view(), 1.0, 100.0, options), want,
+                        "threads=" + std::to_string(threads));
+  }
+  parallel::set_thread_count(0);
+}
+
 TEST(FofOracle, ClumpAcrossPeriodicFaceOverUniformBackground) {
   Rng rng(11);
   Particles p;
@@ -433,12 +444,7 @@ TEST(FofOracle, ClumpAcrossPeriodicFaceOverUniformBackground) {
   const HaloCatalog want = reference_find_halos(p, options);
   ASSERT_GE(want.halos.size(), 1u);
   EXPECT_GE(want.halos[0].npart, 300u);  // the clump, merged across x = 0
-  for (const std::size_t threads : {1, 4}) {
-    parallel::set_thread_count(threads);
-    expect_same_catalog(find_halos(p.view(), 1.0, 100.0, options), want,
-                        "threads=" + std::to_string(threads));
-  }
-  parallel::set_thread_count(0);
+  expect_matches_reference(p, options, want);
 }
 
 TEST(FofOracle, GroupAcrossThePeriodicCornerKeepsItsMembers) {
@@ -486,12 +492,7 @@ TEST(FofOracle, UniformNearPercolation) {
   const HaloCatalog want = reference_find_halos(p, options);
   EXPECT_GT(want.halos.size(), 100u);
   EXPECT_GT(want.halos[0].npart, 20u);
-  for (const std::size_t threads : {1, 4}) {
-    parallel::set_thread_count(threads);
-    expect_same_catalog(find_halos(p.view(), 1.0, 100.0, options), want,
-                        "threads=" + std::to_string(threads));
-  }
-  parallel::set_thread_count(0);
+  expect_matches_reference(p, options, want);
 }
 
 TEST(FofOracle, TinyInputsWithAliasedStencil) {
@@ -538,12 +539,7 @@ TEST(FofOracle, ClusteredZoomLikeInputOccupiesUnderOnePercentOfCells) {
             0.01 * static_cast<double>(ncell * ncell * ncell));
   const HaloCatalog want = reference_find_halos(p, options);
   EXPECT_GE(want.halos.size(), 10u);
-  for (const std::size_t threads : {1, 4}) {
-    parallel::set_thread_count(threads);
-    expect_same_catalog(find_halos(p.view(), 1.0, 100.0, options), want,
-                        "threads=" + std::to_string(threads));
-  }
-  parallel::set_thread_count(0);
+  expect_matches_reference(p, options, want);
 }
 
 TEST(FofOracle, LinkingLengthBelowTheCellCap) {
@@ -563,12 +559,108 @@ TEST(FofOracle, LinkingLengthBelowTheCellCap) {
   ASSERT_GT(1.0 / ll, 256.0);
   const HaloCatalog want = reference_find_halos(p, options);
   EXPECT_GE(want.halos.size(), 10u);
-  for (const std::size_t threads : {1, 4}) {
-    parallel::set_thread_count(threads);
-    expect_same_catalog(find_halos(p.view(), 1.0, 100.0, options), want,
-                        "threads=" + std::to_string(threads));
+  expect_matches_reference(p, options, want);
+}
+
+/// The linking length and cell table find_halos uses for n particles at
+/// linking factor b.
+struct CellGeometry {
+  double ll;
+  std::size_t ncell;
+  double w;
+  CellGeometry(std::size_t n, double b)
+      : ll(b / std::cbrt(static_cast<double>(n))),
+        ncell(std::min<std::size_t>(256, static_cast<std::size_t>(1.0 / ll))),
+        w(1.0 / static_cast<double>(ncell)) {}
+  /// Low face of cell i, and the centre of the middle cell.
+  [[nodiscard]] double face(std::size_t i) const {
+    return static_cast<double>(i) * w;
   }
-  parallel::set_thread_count(0);
+  [[nodiscard]] double middle() const { return face(ncell / 2) + 0.5 * w; }
+};
+
+/// `count` particles uniform in the cube of half-side r around a point.
+void add_ball(Particles& p, Rng& rng, double cx, double cy, double cz,
+              int count, double r) {
+  for (int i = 0; i < count; ++i) {
+    p.add(cx + rng.uniform(-r, r), cy + rng.uniform(-r, r),
+          cz + rng.uniform(-r, r));
+  }
+}
+
+TEST(FofOracle, JoinedCellsBridgedByOnePairAcrossAFace) {
+  // Two balls, each with a bridge particle, fill two joined cells that
+  // share an x face. Only the two bridge particles are friends across the
+  // face, so the pair of cells links at one pair and nowhere else.
+  const FofOptions options{0.2, 5};
+  const CellGeometry g(402, options.linking_factor);
+  const double face = g.face(g.ncell / 2);
+  const double yc = g.middle();
+  Rng rng(16);
+  Particles p;
+  add_ball(p, rng, face - 0.9 * g.ll, yc, yc, 200, 0.01 * g.ll);
+  p.add(face - 0.2 * g.ll, yc, yc);
+  p.add(face + 0.2 * g.ll, yc, yc);
+  add_ball(p, rng, face + 0.9 * g.ll, yc, yc, 200, 0.01 * g.ll);
+  ASSERT_EQ(p.x.size(), 402u);
+  const HaloCatalog want = reference_find_halos(p, options);
+  ASSERT_EQ(want.halos.size(), 1u);
+  EXPECT_EQ(want.halos[0].npart, 402u);  // joined through the bridge
+  expect_matches_reference(p, options, want);
+}
+
+TEST(FofOracle, JoinedCellNextToASparseCell) {
+  // A ball fills one joined cell. In the sparse cells on either side of
+  // it, two members at opposite corners lie within the linking length of
+  // the ball but not of each other, and a third lies just outside it, so
+  // every sparse cell holds three components after its own pairs. The
+  // ball's cell is the home cell on one side and the neighbour on the
+  // other.
+  const FofOptions options{0.2, 1};
+  const CellGeometry g(106, options.linking_factor);
+  const double yc = g.middle();
+  const double r = 0.005 * g.ll;
+  Rng rng(17);
+  Particles p;
+  for (const double side : {1.0, -1.0}) {
+    const double face = g.face(side > 0 ? g.ncell / 4 : 3 * g.ncell / 4);
+    add_ball(p, rng, face - side * 0.1 * g.ll, yc, yc, 50, r);
+    for (const double corner : {0.45, -0.45}) {
+      p.add(face + side * 0.05 * g.ll, yc + corner * g.w, yc + corner * g.w);
+    }
+    p.add(face + side * (0.9 * g.ll + r + 0.002 * g.ll), yc, yc);
+  }
+  ASSERT_EQ(p.x.size(), 106u);
+  const HaloCatalog want = reference_find_halos(p, options);
+  ASSERT_EQ(want.halos.size(), 4u);
+  EXPECT_EQ(want.halos[0].npart, 52u);  // ball + both corners
+  EXPECT_EQ(want.halos[1].npart, 52u);
+  EXPECT_EQ(want.halos[2].npart, 1u);  // the member just outside
+  EXPECT_EQ(want.halos[3].npart, 1u);
+  expect_matches_reference(p, options, want);
+}
+
+TEST(FofOracle, JoinedCellsMeetAcrossThePeriodicWrap) {
+  // As the face bridge, but across x = 0 between cells ncell - 1 and 0,
+  // plus a ball on the y = 0 face that fills joined cells on both sides
+  // of the wrap, whose pairs of cells share a root before they are swept.
+  const FofOptions options{0.6, 5};
+  const CellGeometry g(602, options.linking_factor);
+  ASSERT_GE(g.ncell, 5u);
+  const double yc = g.middle();
+  Rng rng(18);
+  Particles p;
+  add_ball(p, rng, 1.0 - 0.9 * g.ll, yc, yc, 200, 0.01 * g.ll);
+  p.add(1.0 - 0.2 * g.ll, yc, yc);
+  p.add(0.2 * g.ll, yc, yc);
+  add_ball(p, rng, 0.9 * g.ll, yc, yc, 200, 0.01 * g.ll);
+  add_ball(p, rng, 0.5, 0.0, 0.5, 200, 0.5 * g.w);
+  ASSERT_EQ(p.x.size(), 602u);
+  const HaloCatalog want = reference_find_halos(p, options);
+  ASSERT_EQ(want.halos.size(), 2u);
+  EXPECT_EQ(want.halos[0].npart, 402u);  // joined through the wrap
+  EXPECT_EQ(want.halos[1].npart, 200u);
+  expect_matches_reference(p, options, want);
 }
 
 }  // namespace
