@@ -75,7 +75,8 @@ int main(int argc, char** argv) {
   std::printf("\npool threads:\n%8s %12s %10s %12s\n", "threads", "wall ms",
               "speedup", "identical");
   std::vector<gc::bench::ParallelEntry> entries;
-  entries.push_back({"run_simulation", params.npart_dim, 1, serial_ms, 1.0});
+  entries.push_back(
+      {"run_simulation", params.npart_dim, 1, serial_ms, 1.0, ""});
   bool all_identical = true;
   for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
     gc::parallel::set_thread_count(threads);
@@ -89,7 +90,7 @@ int main(int argc, char** argv) {
     std::printf("%8zu %12.0f %10.2f %12s\n", threads, ms, serial_ms / ms,
                 identical ? "yes" : "NO");
     entries.push_back({"run_simulation", params.npart_dim, threads, ms,
-                       serial_ms / ms});
+                       serial_ms / ms, ""});
   }
   gc::parallel::set_thread_count(0);
   if (!all_identical) {

@@ -5,13 +5,16 @@
 // `--parallel_sweep[=path]` skips google-benchmark and instead sweeps
 // GC_THREADS over {1, 2, 4} for every pool-backed kernel, verifies the
 // results are byte-identical across thread counts, and writes the
-// machine-readable BENCH_parallel.json (kernel, n, threads, ms, speedup).
+// machine-readable BENCH_parallel.json (kernel, n, threads, ms, speedup,
+// and on rows that time the FFT or force-gather instances their
+// instruction set).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "common/cli.hpp"
 #include "common/rng.hpp"
@@ -184,20 +187,23 @@ int run_parallel_sweep(const std::string& path) {
   std::vector<gc::bench::ParallelEntry> entries;
   bool deterministic = true;
 
+  // `isa` tags the rows whose timing runs the FFT or force-gather
+  // instances: fft3, pm_step, grafic_2lpt and interpolate_forces.
+  const char* const isa = gc::math::isa_name(gc::math::host_isa());
   auto record = [&](const std::string& kernel, long n,
-                    const std::vector<double>& ms) {
+                    const std::vector<double>& ms, const char* row_isa = "") {
     for (std::size_t t = 0; t < thread_counts.size(); ++t) {
       entries.push_back({kernel, n, thread_counts[t], ms[t],
-                         ms[t] > 0.0 ? ms[0] / ms[t] : 1.0});
+                         ms[t] > 0.0 ? ms[0] / ms[t] : 1.0, row_isa});
       std::printf("%-24s n=%-7ld threads=%zu  %9.2f ms  speedup %.2fx\n",
                   kernel.c_str(), n, thread_counts[t], ms[t],
                   ms[t] > 0.0 ? ms[0] / ms[t] : 1.0);
     }
   };
 
-  // fft3 on a 64^3 grid.
-  {
-    const std::size_t n = 64;
+  // fft3 on a 64^3 grid, then on campaign_real's 32^3 PM mesh (best of
+  // more runs: one transform there takes well under a millisecond).
+  for (const auto& [n, reps] : {std::pair<std::size_t, int>{64, 3}, {32, 20}}) {
     std::vector<gc::math::Complex> init(n * n * n);
     gc::Rng rng(1);
     for (auto& v : init) v = {rng.normal(), 0.0};
@@ -208,7 +214,7 @@ int run_parallel_sweep(const std::string& path) {
       auto data = init;
       gc::math::fft3(data, n, false);  // warm twiddles + pool
       data = init;
-      ms.push_back(time_ms(3, [&] { gc::math::fft3(data, n, false); }));
+      ms.push_back(time_ms(reps, [&] { gc::math::fft3(data, n, false); }));
       auto once = init;
       gc::math::fft3(once, n, false);
       if (t == thread_counts.front()) {
@@ -217,7 +223,7 @@ int run_parallel_sweep(const std::string& path) {
         deterministic &= same_bytes(reference, once);
       }
     }
-    record("fft3", 64, ms);
+    record("fft3", static_cast<long>(n), ms, isa);
   }
 
   // CIC deposit: 64^3 particles onto a 64^3 mesh.
@@ -268,7 +274,7 @@ int run_parallel_sweep(const std::string& path) {
         deterministic &= same_bytes(reference, p.x);
       }
     }
-    record("pm_step", 32, ms);
+    record("pm_step", 32, ms, isa);
   }
 
   // GRAFIC 2LPT second-order displacement on a 32^3 grid.
@@ -293,7 +299,7 @@ int run_parallel_sweep(const std::string& path) {
         deterministic &= same_bytes(reference, psi2[0]);
       }
     }
-    record("grafic_2lpt", 32, ms);
+    record("grafic_2lpt", 32, ms, isa);
   }
 
   // FoF halo finding on the clustered 2^14-particle distribution.
@@ -333,10 +339,9 @@ int run_parallel_sweep(const std::string& path) {
     record("fof", static_cast<long>(n), ms);
   }
 
-  // FoF on the four outputs of campaign_real's first zoom2 job: 16^3, two
-  // nested levels, 24 steps, centred on zoom1's heaviest halo at 128 cells
-  // a side, as the campaign places it (its namelist round trip included).
-  // Velocities are zero: they do not change which pairs link.
+  // campaign_real's first zoom2 job: 16^3, two nested levels, 24 steps,
+  // centred on zoom1's heaviest halo at 128 cells a side, as the campaign
+  // places it (its namelist round trip included).
   {
     gc::ramses::RunParams shipped;
     shipped.npart_dim = 128;
@@ -366,6 +371,9 @@ int run_parallel_sweep(const std::string& path) {
     params.zoom_centre = {cx * cell, static_cast<int>(halo.y * 128) * cell,
                           static_cast<int>(halo.z * 128) * cell};
     const gc::ramses::RunResult zoom2 = gc::ramses::run_simulation(params);
+
+    // FoF on its four outputs. Velocities are zero: they do not change
+    // which pairs link.
     std::vector<double> reference;  // halo masses of every output
     std::vector<double> ms;
     for (const std::size_t t : thread_counts) {
@@ -386,9 +394,33 @@ int run_parallel_sweep(const std::string& path) {
       }
     }
     record("fof_zoom2", static_cast<long>(zoom2.particle_count), ms);
+
+    // The PM force gather on its final particles, from the potential of
+    // their own 32^3 mesh: one of the job's 25 force evaluations.
+    const gc::ramses::ParticleSet& last = zoom2.snapshots.back().particles;
+    const gc::math::Grid3<double> phi = gc::ramses::solve_poisson(
+        gc::ramses::cic_deposit(last, params.pm_grid),
+        1.5 * params.cosmology.omega_m / zoom2.snapshots.back().aexp);
+    std::vector<double> forces_reference;
+    ms.clear();
+    for (const std::size_t t : thread_counts) {
+      gc::parallel::set_thread_count(t);
+      ms.push_back(time_ms(20, [&] {
+        benchmark::DoNotOptimize(gc::ramses::interpolate_forces(phi, last));
+      }));
+      const auto acc = gc::ramses::interpolate_forces(phi, last);
+      if (t == thread_counts.front()) {
+        forces_reference = acc[0];
+      } else {
+        deterministic &= same_bytes(forces_reference, acc[0]);
+      }
+    }
+    record("interpolate_forces", static_cast<long>(last.size()), ms,
+           isa);
   }
 
   gc::parallel::set_thread_count(0);
+  std::printf("instruction set: %s\n", isa);
   std::printf("byte-identical across thread counts: %s\n",
               deterministic ? "yes" : "NO — DETERMINISM VIOLATION");
   if (!gc::bench::write_parallel_entries(path, entries)) {

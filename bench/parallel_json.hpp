@@ -3,6 +3,9 @@
 // PRs. The file is a flat JSON array of
 //   {"kernel": ..., "n": ..., "threads": ..., "ms": ..., "speedup": ...}
 // objects; `speedup` is relative to the 1-thread run of the same kernel.
+// bench_v2_micro's rows that time the FFT or the PM force gather also
+// carry "isa": the instruction set their instances ran at
+// (math::host_isa()).
 // bench_v2_micro (--parallel_sweep) rewrites the file; bench_v1 (--json)
 // appends its end-to-end entries.
 #pragma once
@@ -23,13 +26,16 @@ struct ParallelEntry {
   std::size_t threads = 0;
   double ms = 0.0;
   double speedup = 1.0;  ///< ms(threads=1) / ms
+  std::string isa;       ///< vector instances' instruction set, "" if none
 };
 
 inline std::string to_json(const ParallelEntry& e) {
+  const std::string isa =
+      e.isa.empty() ? "" : strformat(", \"isa\": \"%s\"", e.isa.c_str());
   return strformat(
       "  {\"kernel\": \"%s\", \"n\": %ld, \"threads\": %zu, "
-      "\"ms\": %.3f, \"speedup\": %.3f}",
-      e.kernel.c_str(), e.n, e.threads, e.ms, e.speedup);
+      "\"ms\": %.3f, \"speedup\": %.3f%s}",
+      e.kernel.c_str(), e.n, e.threads, e.ms, e.speedup, isa.c_str());
 }
 
 /// Overwrites `path` with a JSON array of `entries`.

@@ -32,6 +32,20 @@ for lib in math grafic ramses; do
 done
 echo "libgc_math.a, libgc_grafic.a, libgc_ramses.a: no __muldc3"
 
+step "no fused multiply-add in the numerics libraries"
+# The AVX-512F instances of the FFT and the PM force gather
+# (math/isa.hpp) must round like the SSE2 reference, and AVX-512F has FMA:
+# GCC contracts a * b + c into one instruction by default in C++.
+# src/CMakeLists.txt compiles these libraries with -ffp-contract=off. Fail
+# if a fused multiply-add appears anyway.
+for lib in math grafic ramses; do
+  if objdump -d "build/src/libgc_${lib}.a" | grep -E 'vfn?m(add|sub)' > /dev/null; then
+    echo "libgc_${lib}.a contains a fused multiply-add: build it with -ffp-contract=off" >&2
+    exit 1
+  fi
+done
+echo "libgc_math.a, libgc_grafic.a, libgc_ramses.a: no vfmadd/vfmsub/vfnmadd/vfnmsub"
+
 step "no double-modulo index wrap outside math::wrap"
 # ((x % n) + n) % n costs two integer divisions per wrapped index. Every
 # periodic wrap in the numerics goes through math::wrap

@@ -10,6 +10,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "math/isa.hpp"
+
 namespace gc::math {
 
 using Complex = std::complex<double>;
@@ -31,9 +33,14 @@ constexpr bool is_pow2(std::size_t n) { return n > 0 && (n & (n - 1)) == 0; }
 void fft(std::vector<Complex>& data, bool inverse);
 
 /// In-place 3D FFT on an n0*n1*n2 row-major array (index = (i0*n1+i1)*n2+i2).
-/// All dimensions must be powers of two.
+/// All dimensions must be powers of two. Runs the host_isa() instance.
 void fft3(std::vector<Complex>& data, std::size_t n0, std::size_t n1,
           std::size_t n2, bool inverse);
+
+/// The same transform with the `isa` instance, which the host must
+/// support. Every instance gives the same bytes.
+void fft3(Isa isa, std::vector<Complex>& data, std::size_t n0,
+          std::size_t n1, std::size_t n2, bool inverse);
 
 /// Convenience: cube transform (n^3 elements).
 inline void fft3(std::vector<Complex>& data, std::size_t n, bool inverse) {

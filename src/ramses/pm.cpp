@@ -1,5 +1,7 @@
 #include "ramses/pm.hpp"
 
+#include <immintrin.h>
+
 #include <array>
 #include <cmath>
 
@@ -167,62 +169,223 @@ math::Grid3<double> solve_poisson(math::Grid3<double> delta,
   return delta;
 }
 
+namespace {
+
+/// What the force gather reads and writes: phi on an n^3 mesh, the
+/// particle positions, and one output array per axis.
+struct ForceGather {
+  const double* phi;
+  long n;
+  double nd;
+  double inv_2h;  // central difference over 2 cells
+  const double* x;
+  const double* y;
+  const double* z;
+  double* ax;
+  double* ay;
+  double* az;
+};
+
+/// The force gather of particles [begin, end), one at a time: the
+/// reference every instance matches, and the one that runs wherever the
+/// AVX-512 instance cannot. The 8 CIC corners and their central
+/// differences touch mesh indices i0-1 .. i0+2 on each axis. Each sum
+/// starts at 0.0 and subtracts the same terms in the same order as
+/// accumulating into the output array would.
+void gather_forces_scalar(const ForceGather& f, std::size_t begin,
+                          std::size_t end) {
+  const long n = f.n;
+  const auto at = [g = f.phi, n](long i, long j, long k) {
+    return g[(i * n + j) * n + k];
+  };
+  for (std::size_t p = begin; p < end; ++p) {
+    const double gx = f.x[p] * f.nd - 0.5;
+    const double gy = f.y[p] * f.nd - 0.5;
+    const double gz = f.z[p] * f.nd - 0.5;
+    const long i0 = static_cast<long>(std::floor(gx));
+    const long j0 = static_cast<long>(std::floor(gy));
+    const long k0 = static_cast<long>(std::floor(gz));
+    const double fx = gx - static_cast<double>(i0);
+    const double fy = gy - static_cast<double>(j0);
+    const double fz = gz - static_cast<double>(k0);
+    const auto wi = wrapped_run<4>(i0 - 1, n);
+    const auto wj = wrapped_run<4>(j0 - 1, n);
+    const auto wk = wrapped_run<4>(k0 - 1, n);
+    double ax = 0.0, ay = 0.0, az = 0.0;
+    for (int di = 0; di <= 1; ++di) {
+      const double wx = di ? fx : 1.0 - fx;
+      for (int dj = 0; dj <= 1; ++dj) {
+        const double wy = dj ? fy : 1.0 - fy;
+        for (int dk = 0; dk <= 1; ++dk) {
+          const double wz = dk ? fz : 1.0 - fz;
+          const double w = wx * wy * wz;
+          const long i = wi[di + 1];
+          const long j = wj[dj + 1];
+          const long k = wk[dk + 1];
+          // -grad(phi), central differences on the periodic mesh.
+          ax -= w * (at(wi[di + 2], j, k) - at(wi[di], j, k)) * f.inv_2h;
+          ay -= w * (at(i, wj[dj + 2], k) - at(i, wj[dj], k)) * f.inv_2h;
+          az -= w * (at(i, j, wk[dk + 2]) - at(i, j, wk[dk])) * f.inv_2h;
+        }
+      }
+    }
+    f.ax[p] = ax;
+    f.ay[p] = ay;
+    f.az[p] = az;
+  }
+}
+
+/// phi at eight flat indices i + j + k, one 64-bit gather. A lambda in
+/// the caller would not inherit its target, so this is a target function.
+[[gnu::always_inline]] __attribute__((target("avx512f"))) inline __m512d
+gather_phi(const double* phi, __m512i i, __m512i j, __m512i k) {
+  return _mm512_mask_i64gather_pd(_mm512_setzero_pd(), 0xFF,
+                                  _mm512_add_epi64(_mm512_add_epi64(i, j), k),
+                                  phi, 8);
+}
+
+/// The scalar gather on eight particles at once, one per 64-bit lane, each
+/// lane doing the scalar loop's operations in its order: floor as
+/// round-to-minus-infinity, the periodic wrap as a masked add or subtract
+/// of n (which is math::wrap for indices in [-n, 2n)), and one 64-bit
+/// gather per mesh value. A block with a stencil index outside [-n, 2n),
+/// a position that is not finite, and the tail of the range run the scalar
+/// loop; so does every particle when n * n does not fit the 32-bit
+/// multiplies that build the flat indices.
+__attribute__((target("avx512f"))) void gather_forces_avx512(
+    const ForceGather& f, std::size_t begin, std::size_t end) {
+  constexpr std::size_t kBlock = 8;
+  const long n = f.n;
+  if (n >= 65536) {
+    gather_forces_scalar(f, begin, end);
+    return;
+  }
+  const __m512d zero = _mm512_setzero_pd();
+  const __m512d one = _mm512_set1_pd(1.0);
+  const __m512d half = _mm512_set1_pd(0.5);
+  const __m512d nd = _mm512_set1_pd(f.nd);
+  const __m512d inv_2h = _mm512_set1_pd(f.inv_2h);
+  // i0 - 1 >= -n and i0 + 2 < 2n.
+  const __m512d lowest = _mm512_set1_pd(static_cast<double>(1 - n));
+  const __m512d highest = _mm512_set1_pd(static_cast<double>(2 * n - 3));
+  const __m512i vn = _mm512_set1_epi64(n);
+  const __m512i vnn = _mm512_set1_epi64(n * n);
+  const __m512i izero = _mm512_setzero_si512();
+
+  // One axis of a block: the cell coordinate's fraction and, when every
+  // lane's stencil is in range, the four wrapped indices i0-1 .. i0+2.
+  struct Axis {
+    __m512d frac;
+    __m512i index[4];
+  };
+  std::size_t p = begin;
+  for (; p + kBlock <= end; p += kBlock) {
+    Axis axes[3];
+    const double* pos[3] = {f.x + p, f.y + p, f.z + p};
+    __mmask8 in_range = 0xFF;
+    __m512d cell[3];
+    __m512d below[3];
+    for (int a = 0; a < 3; ++a) {
+      cell[a] =
+          _mm512_sub_pd(_mm512_mul_pd(_mm512_loadu_pd(pos[a]), nd), half);
+      below[a] = _mm512_mask_roundscale_pd(
+          zero, 0xFF, cell[a], _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+      in_range &= _mm512_cmp_pd_mask(below[a], lowest, _CMP_GE_OQ) &
+                  _mm512_cmp_pd_mask(below[a], highest, _CMP_LE_OQ);
+    }
+    if (in_range != 0xFF) {
+      gather_forces_scalar(f, p, p + kBlock);
+      continue;
+    }
+    for (int a = 0; a < 3; ++a) {
+      // Exact: below[a] holds integers in (-65536, 131072).
+      const __m256i i0 = _mm512_mask_cvtpd_epi32(_mm256_setzero_si256(),
+                                                 0xFF, below[a]);
+      axes[a].frac = _mm512_sub_pd(
+          cell[a], _mm512_mask_cvtepi32_pd(zero, 0xFF, i0));
+      const __m512i i0_64 = _mm512_mask_cvtepi32_epi64(izero, 0xFF, i0);
+      for (int o = 0; o < 4; ++o) {
+        __m512i i = _mm512_add_epi64(i0_64, _mm512_set1_epi64(o - 1));
+        i = _mm512_mask_add_epi64(i, _mm512_cmplt_epi64_mask(i, izero), i,
+                                  vn);
+        i = _mm512_mask_sub_epi64(i, _mm512_cmpge_epi64_mask(i, vn), i, vn);
+        axes[a].index[o] = i;
+      }
+    }
+    // Flat index (i * n + j) * n + k as i * n^2 + j * n + k: the wrapped
+    // indices and n^2 fit 32 bits, so one 32x32 -> 64-bit multiply each.
+    __m512i ii[4];
+    __m512i jj[4];
+    for (int o = 0; o < 4; ++o) {
+      ii[o] = _mm512_maskz_mul_epu32(0xFF, axes[0].index[o], vnn);
+      jj[o] = _mm512_maskz_mul_epu32(0xFF, axes[1].index[o], vn);
+    }
+    const __m512i* kk = axes[2].index;
+    const __m512d fx = axes[0].frac;
+    const __m512d fy = axes[1].frac;
+    const __m512d fz = axes[2].frac;
+    __m512d ax = zero;
+    __m512d ay = zero;
+    __m512d az = zero;
+    for (int di = 0; di <= 1; ++di) {
+      const __m512d wx = di ? fx : _mm512_sub_pd(one, fx);
+      for (int dj = 0; dj <= 1; ++dj) {
+        const __m512d wy = dj ? fy : _mm512_sub_pd(one, fy);
+        for (int dk = 0; dk <= 1; ++dk) {
+          const __m512d wz = dk ? fz : _mm512_sub_pd(one, fz);
+          const __m512d w = _mm512_mul_pd(_mm512_mul_pd(wx, wy), wz);
+          const __m512i i = ii[di + 1];
+          const __m512i j = jj[dj + 1];
+          const __m512i k = kk[dk + 1];
+          const __m512d dx =
+              _mm512_sub_pd(gather_phi(f.phi, ii[di + 2], j, k),
+                            gather_phi(f.phi, ii[di], j, k));
+          const __m512d dy =
+              _mm512_sub_pd(gather_phi(f.phi, i, jj[dj + 2], k),
+                            gather_phi(f.phi, i, jj[dj], k));
+          const __m512d dz =
+              _mm512_sub_pd(gather_phi(f.phi, i, j, kk[dk + 2]),
+                            gather_phi(f.phi, i, j, kk[dk]));
+          ax = _mm512_sub_pd(ax, _mm512_mul_pd(_mm512_mul_pd(w, dx), inv_2h));
+          ay = _mm512_sub_pd(ay, _mm512_mul_pd(_mm512_mul_pd(w, dy), inv_2h));
+          az = _mm512_sub_pd(az, _mm512_mul_pd(_mm512_mul_pd(w, dz), inv_2h));
+        }
+      }
+    }
+    _mm512_storeu_pd(f.ax + p, ax);
+    _mm512_storeu_pd(f.ay + p, ay);
+    _mm512_storeu_pd(f.az + p, az);
+  }
+  gather_forces_scalar(f, p, end);
+}
+
+}  // namespace
+
 std::array<std::vector<double>, 3> interpolate_forces(
     const math::Grid3<double>& phi, const ParticleSet& particles) {
-  const auto n = static_cast<long>(phi.n());
-  const double nd = static_cast<double>(n);
-  const double inv_2h = nd / 2.0;  // central difference over 2 cells
+  return interpolate_forces(math::host_isa(), phi, particles);
+}
 
+std::array<std::vector<double>, 3> interpolate_forces(
+    math::Isa isa, const math::Grid3<double>& phi,
+    const ParticleSet& particles) {
+  GC_CHECK_MSG(math::host_supports(isa),
+               "interpolate_forces: the host cannot run this ISA");
   std::array<std::vector<double>, 3> acc;
   for (auto& a : acc) a.assign(particles.size(), 0.0);
-
-  // Pure gather: reads phi, writes acc[axis][p] — disjoint per particle.
-  // The 8 CIC corners and their central differences touch mesh indices
-  // i0-1 .. i0+2 on each axis. Each sum starts at 0.0 and subtracts the
-  // same terms in the same order as accumulating into acc[axis][p] would.
-  const double* g = phi.raw().data();
-  parallel::parallel_for(
-      0, particles.size(), kParticleGrain,
-      [&](std::size_t begin, std::size_t end) {
-        auto at = [g, n](long i, long j, long k) {
-          return g[(i * n + j) * n + k];
-        };
-        for (std::size_t p = begin; p < end; ++p) {
-          const double gx = particles.x[p] * nd - 0.5;
-          const double gy = particles.y[p] * nd - 0.5;
-          const double gz = particles.z[p] * nd - 0.5;
-          const long i0 = static_cast<long>(std::floor(gx));
-          const long j0 = static_cast<long>(std::floor(gy));
-          const long k0 = static_cast<long>(std::floor(gz));
-          const double fx = gx - static_cast<double>(i0);
-          const double fy = gy - static_cast<double>(j0);
-          const double fz = gz - static_cast<double>(k0);
-          const auto wi = wrapped_run<4>(i0 - 1, n);
-          const auto wj = wrapped_run<4>(j0 - 1, n);
-          const auto wk = wrapped_run<4>(k0 - 1, n);
-          double ax = 0.0, ay = 0.0, az = 0.0;
-          for (int di = 0; di <= 1; ++di) {
-            const double wx = di ? fx : 1.0 - fx;
-            for (int dj = 0; dj <= 1; ++dj) {
-              const double wy = dj ? fy : 1.0 - fy;
-              for (int dk = 0; dk <= 1; ++dk) {
-                const double wz = dk ? fz : 1.0 - fz;
-                const double w = wx * wy * wz;
-                const long i = wi[di + 1];
-                const long j = wj[dj + 1];
-                const long k = wk[dk + 1];
-                // -grad(phi), central differences on the periodic mesh.
-                ax -= w * (at(wi[di + 2], j, k) - at(wi[di], j, k)) * inv_2h;
-                ay -= w * (at(i, wj[dj + 2], k) - at(i, wj[dj], k)) * inv_2h;
-                az -= w * (at(i, j, wk[dk + 2]) - at(i, j, wk[dk])) * inv_2h;
-              }
-            }
-          }
-          acc[0][p] = ax;
-          acc[1][p] = ay;
-          acc[2][p] = az;
-        }
-      });
+  const auto n = static_cast<long>(phi.n());
+  const ForceGather f{phi.raw().data(), n,
+                      static_cast<double>(n), static_cast<double>(n) / 2.0,
+                      particles.x.data(), particles.y.data(),
+                      particles.z.data(), acc[0].data(),
+                      acc[1].data(), acc[2].data()};
+  // Pure gather: reads phi, writes each particle's entries only.
+  void (*gather)(const ForceGather&, std::size_t, std::size_t) =
+      isa == math::Isa::kAvx512 ? gather_forces_avx512 : gather_forces_scalar;
+  parallel::parallel_for(0, particles.size(), kParticleGrain,
+                         [&f, gather](std::size_t begin, std::size_t end) {
+                           gather(f, begin, end);
+                         });
   return acc;
 }
 

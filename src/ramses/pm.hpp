@@ -22,6 +22,7 @@
 
 #include "cosmo/cosmology.hpp"
 #include "math/grid3.hpp"
+#include "math/isa.hpp"
 #include "ramses/particles.hpp"
 
 namespace gc::ramses {
@@ -38,8 +39,16 @@ math::Grid3<double> solve_poisson(math::Grid3<double> delta,
 
 /// Central-difference acceleration -grad(phi), CIC-interpolated to each
 /// particle. Returns one array per axis, in phi's units per box length.
+/// Runs the host_isa() instance.
 std::array<std::vector<double>, 3> interpolate_forces(
     const math::Grid3<double>& phi, const ParticleSet& particles);
+
+/// The same gather with the `isa` instance, which the host must support:
+/// AVX-512F has a vector instance, SSE2 runs the scalar loop.
+/// Every instance gives the same bytes.
+std::array<std::vector<double>, 3> interpolate_forces(
+    math::Isa isa, const math::Grid3<double>& phi,
+    const ParticleSet& particles);
 
 /// Per-particle accelerations (one array per axis, one entry per
 /// particle) and the expansion factor they were computed at: what one

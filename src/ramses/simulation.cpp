@@ -5,6 +5,7 @@
 
 #include "common/log.hpp"
 #include "common/strings.hpp"
+#include "math/fft.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "ramses/loader.hpp"
@@ -118,11 +119,22 @@ gc::Result<RunParams> RunParams::from_namelist(const io::Namelist& nml) {
       params.cosmology.sigma8 = v.value();
     }
   }
-  if (params.npart_dim < 2 || params.steps < 1 ||
-      params.a_start <= 0.0 || params.a_end <= params.a_start) {
+  if (auto status = params.validate(); !status.is_ok()) return status;
+  return params;
+}
+
+gc::Status RunParams::validate() const {
+  if (npart_dim < 2 || steps < 1 || a_start <= 0.0 || a_end <= a_start) {
     return make_error(ErrorCode::kInvalidArgument, "invalid run parameters");
   }
-  return params;
+  // GRAFIC and the PM solver transform npart^3 and pm_grid^3 meshes with
+  // the radix-2 FFT.
+  if (!math::is_pow2(static_cast<std::size_t>(npart_dim)) || pm_grid < 1 ||
+      !math::is_pow2(static_cast<std::size_t>(pm_grid))) {
+    return make_error(ErrorCode::kInvalidArgument,
+                      "npart and pm_grid must be powers of two");
+  }
+  return gc::Status::ok();
 }
 
 std::string RunParams::to_namelist() const {

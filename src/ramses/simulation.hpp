@@ -40,8 +40,14 @@ struct RunParams {
   std::uint64_t seed = 1234;
 
   /// Parses the &RUN_PARAMS / &ZOOM_PARAMS groups of a RAMSES-style
-  /// namelist; unknown keys are ignored, missing keys keep defaults.
+  /// namelist; unknown keys are ignored, missing keys keep defaults. Fails
+  /// with kInvalidArgument where validate() does.
   static gc::Result<RunParams> from_namelist(const io::Namelist& nml);
+
+  /// kInvalidArgument unless run_simulation can run these parameters:
+  /// npart_dim >= 2 and pm_grid powers of two, steps >= 1 and
+  /// 0 < a_start < a_end.
+  [[nodiscard]] gc::Status validate() const;
 
   /// Writes the equivalent namelist text (what the DIET client ships).
   [[nodiscard]] std::string to_namelist() const;

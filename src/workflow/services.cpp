@@ -92,20 +92,28 @@ platform::ZoomJobSpec spec_of(const ZoomArgs& args) {
 }
 
 /// Builds the (down-scaled, in real mode) run parameters for a request.
-ramses::RunParams real_params(const ZoomArgs& args,
-                              const ServiceOptions& options,
-                              std::uint64_t seed) {
+/// Fails with kInvalidArgument when the run could not start, e.g. on a
+/// resolution that leaves the grid not a power of two.
+gc::Result<ramses::RunParams> real_params(const ZoomArgs& args,
+                                          const ServiceOptions& options,
+                                          std::uint64_t seed) {
   ramses::RunParams params;
+  const int npart = std::min(args.resolution, options.real_max_resolution);
   // Honour the shipped namelist when it is readable; profile scalars win
-  // for the geometry (the paper passes them separately).
+  // for the geometry (the paper passes them separately). They replace the
+  // namelist's grid before it is checked, so a grid this run never uses
+  // cannot drop the rest of the namelist.
   if (auto nml = io::Namelist::load(args.namelist_path); nml.is_ok()) {
+    auto& run = nml.value().group_or_create("run_params");
+    run.set("npart", std::to_string(npart));
+    run.set("pm_grid", std::to_string(npart * 2));
     if (auto parsed = ramses::RunParams::from_namelist(nml.value());
         parsed.is_ok()) {
       params = parsed.value();
     }
   }
-  params.npart_dim = std::min(args.resolution, options.real_max_resolution);
-  params.pm_grid = params.npart_dim * 2;
+  params.npart_dim = npart;
+  params.pm_grid = npart * 2;
   params.box_mpc = args.size_mpc;
   params.steps = options.real_steps;
   params.seed = seed;
@@ -115,7 +123,15 @@ ramses::RunParams real_params(const ZoomArgs& args,
     const double cell = params.box_mpc / args.resolution;
     params.zoom_centre = {args.cx * cell, args.cy * cell, args.cz * cell};
   }
+  if (auto status = params.validate(); !status.is_ok()) return status;
   return params;
+}
+
+/// Ends a call whose arguments cannot run: rc 1 in its status argument.
+void fail_call(diet::ServiceContext& ctx, int status_arg) {
+  ctx.profile().arg(status_arg).set_scalar<std::int32_t>(
+      1, BaseType::kInt, Persistence::kVolatile);
+  ctx.finish(1);
 }
 
 /// Mints the next job directory under the SED's work area and creates it.
@@ -289,13 +305,14 @@ gc::Status register_services(diet::ServiceTable& table,
 
   diet::SolveFn solve_zoom1 = [opts, cost](diet::ServiceContext& ctx) {
     auto args = decode_args(ctx.profile());
-    if (!args.is_ok()) {
-      ctx.profile().arg(4).set_scalar<std::int32_t>(
-          1, BaseType::kInt, Persistence::kVolatile);
-      ctx.finish(1);
-      return;
-    }
+    if (!args.is_ok()) return fail_call(ctx, 4);
     const ZoomArgs a = args.value();
+    ramses::RunParams params;
+    if (opts.mode == ServiceMode::kReal) {
+      auto real = real_params(a, opts, 1000);
+      if (!real.is_ok()) return fail_call(ctx, 4);
+      params = std::move(real).value();
+    }
     const double modeled = cost.duration_with_jitter(
         cost.zoom1_work(spec_of(a)), ctx.host_power(), ctx.machines(),
         ctx.rng());
@@ -306,7 +323,7 @@ gc::Status register_services(diet::ServiceTable& table,
     if (opts.mode == ServiceMode::kReal) {
       // Start the numerics now, on the pool; the virtual completion joins.
       const parallel::Job job = parallel::start(
-          [params = real_params(a, opts, 1000), catalog_path] {
+          [params = std::move(params), catalog_path] {
             return real_zoom1(params, catalog_path);
           });
       work = [job] { return job.wait(); };
@@ -346,13 +363,15 @@ gc::Status register_services(diet::ServiceTable& table,
 
   diet::SolveFn solve_zoom2 = [opts, cost](diet::ServiceContext& ctx) {
     auto args = decode_args(ctx.profile());
-    if (!args.is_ok()) {
-      ctx.profile().arg(8).set_scalar<std::int32_t>(
-          1, BaseType::kInt, Persistence::kVolatile);
-      ctx.finish(1);
-      return;
-    }
+    if (!args.is_ok()) return fail_call(ctx, 8);
     const ZoomArgs a = args.value();
+    ramses::RunParams params;
+    if (opts.mode == ServiceMode::kReal) {
+      const std::uint64_t seed = 2000 + static_cast<std::uint64_t>(a.cx);
+      auto real = real_params(a, opts, seed);
+      if (!real.is_ok()) return fail_call(ctx, 8);
+      params = std::move(real).value();
+    }
     const double modeled = cost.duration_with_jitter(
         cost.zoom2_work(spec_of(a)), ctx.host_power(), ctx.machines(),
         ctx.rng());
@@ -362,9 +381,9 @@ gc::Status register_services(diet::ServiceTable& table,
     std::function<int()> work;
     if (opts.mode == ServiceMode::kReal) {
       const parallel::Job job = parallel::start(
-          [params = real_params(
-               a, opts, 2000 + static_cast<std::uint64_t>(a.cx)),
-           a, tar_path] { return real_zoom2(params, a, tar_path); });
+          [params = std::move(params), a, tar_path] {
+            return real_zoom2(params, a, tar_path);
+          });
       work = [job] { return job.wait(); };
     } else {
       work = [a, tar_path]() {

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "common/rng.hpp"
 #include "math/fft.hpp"
@@ -234,6 +236,25 @@ bool same_bytes(const std::vector<Complex>& a, const std::vector<Complex>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
 }
 
+/// Every fft3 instance this host can run. Prints which run and which the
+/// host cannot run, so a missing instance never passes unnoticed.
+std::vector<Isa> fft3_instances() {
+  std::vector<Isa> isas;
+  std::string ran;
+  std::string not_run;
+  for (const Isa isa : {Isa::kSse2, Isa::kAvx512}) {
+    if (host_supports(isa)) {
+      isas.push_back(isa);
+      ran += std::string(" ") + isa_name(isa);
+    } else {
+      not_run += std::string(" ") + isa_name(isa);
+    }
+  }
+  std::printf("[ INSTANCE ] fft3 ran:%s; not supported by this host:%s\n",
+              ran.c_str(), not_run.empty() ? " none" : not_run.c_str());
+  return isas;
+}
+
 TEST(FftOracle, LineMatchesReferenceBytes) {
   // fft() runs the lockstep kernel with one live lane; n = 1 has no
   // butterfly at all and n = 2 only the first pass.
@@ -254,27 +275,44 @@ TEST(FftOracle, CubeMatchesReferenceBytesAtAnyThreadCount) {
   };
   // Past the cubes, shapes whose axes leave a batch of eight lines partly
   // empty: strides below eight, line counts that are not a multiple of
-  // eight, single lines, and length-1 axes.
-  const Shape shapes[] = {{4, 4, 4},   {8, 8, 8},  {16, 16, 16}, {32, 32, 32},
-                          {64, 64, 64}, {4, 16, 8}, {2, 4, 8},    {1, 1, 32},
-                          {1, 32, 1},  {32, 1, 1}, {2, 2, 2},    {8, 1, 4},
-                          {1, 2, 64},  {16, 2, 1}, {1, 1, 1}};
-  for (const std::size_t threads : {1, 4}) {
-    parallel::set_thread_count(threads);
-    for (const Shape& s : shapes) {
-      for (const bool inverse : {false, true}) {
-        std::vector<Complex> got =
-            oracle_input(s.n0 * s.n1 * s.n2, s.n0 + 3 * s.n1 + 7 * s.n2);
-        std::vector<Complex> want = got;
-        fft3(got, s.n0, s.n1, s.n2, inverse);
-        reference_fft3(want, s.n0, s.n1, s.n2, inverse);
-        EXPECT_TRUE(same_bytes(got, want))
-            << s.n0 << "x" << s.n1 << "x" << s.n2 << " inverse=" << inverse
-            << " threads=" << threads;
+  // eight, single lines, and length-1 axes. The last four leave the
+  // AVX-512 instance's batches of sixteen lines half full: eight lines in
+  // all, or axes of 256 and 1024 points, whose pool chunks hold eight and
+  // two lines.
+  const Shape shapes[] = {{4, 4, 4},   {8, 8, 8},   {16, 16, 16},
+                          {32, 32, 32}, {64, 64, 64}, {4, 16, 8},
+                          {2, 4, 8},   {1, 1, 32},  {1, 32, 1},
+                          {32, 1, 1},  {2, 2, 2},   {8, 1, 4},
+                          {1, 2, 64},  {16, 2, 1},  {1, 1, 1},
+                          {2, 4, 256}, {256, 4, 4}, {4, 256, 2},
+                          {1, 1024, 4}};
+  for (const Isa isa : fft3_instances()) {
+    for (const std::size_t threads : {1, 4}) {
+      parallel::set_thread_count(threads);
+      for (const Shape& s : shapes) {
+        for (const bool inverse : {false, true}) {
+          std::vector<Complex> got =
+              oracle_input(s.n0 * s.n1 * s.n2, s.n0 + 3 * s.n1 + 7 * s.n2);
+          std::vector<Complex> want = got;
+          fft3(isa, got, s.n0, s.n1, s.n2, inverse);
+          reference_fft3(want, s.n0, s.n1, s.n2, inverse);
+          EXPECT_TRUE(same_bytes(got, want))
+              << isa_name(isa) << " " << s.n0 << "x" << s.n1 << "x" << s.n2
+              << " inverse=" << inverse << " threads=" << threads;
+        }
       }
     }
   }
   parallel::set_thread_count(0);
+}
+
+TEST(Isa, HostIsaIsTheWidestSupported) {
+  // fft3 and the PM force gather without an ISA run this one.
+  const Isa isa = host_isa();
+  EXPECT_TRUE(host_supports(isa));
+  EXPECT_TRUE(host_supports(Isa::kSse2));
+  EXPECT_EQ(host_supports(Isa::kAvx512), isa == Isa::kAvx512);
+  std::printf("[ INSTANCE ] host_isa: %s\n", isa_name(isa));
 }
 
 TEST(FftOracle, ThreeHundredRoundTripsStayOnTheReference) {
@@ -283,17 +321,24 @@ TEST(FftOracle, ThreeHundredRoundTripsStayOnTheReference) {
   // line and on a cube.
   std::vector<Complex> line = oracle_input(64, 5);
   std::vector<Complex> line_want = line;
-  std::vector<Complex> cube = oracle_input(8 * 8 * 8, 6);
-  std::vector<Complex> cube_want = cube;
   for (int trip = 0; trip < 300; ++trip) {
     for (const bool inverse : {false, true}) {
       fft(line, inverse);
       reference_fft_strided(line_want.data(), 64, 1, inverse);
-      fft3(cube, 8, 8, 8, inverse);
-      reference_fft3(cube_want, 8, 8, 8, inverse);
     }
     ASSERT_TRUE(same_bytes(line, line_want)) << "line, trip " << trip;
-    ASSERT_TRUE(same_bytes(cube, cube_want)) << "cube, trip " << trip;
+  }
+  for (const Isa isa : fft3_instances()) {
+    std::vector<Complex> cube = oracle_input(8 * 8 * 8, 6);
+    std::vector<Complex> cube_want = cube;
+    for (int trip = 0; trip < 300; ++trip) {
+      for (const bool inverse : {false, true}) {
+        fft3(isa, cube, 8, 8, 8, inverse);
+        reference_fft3(cube_want, 8, 8, 8, inverse);
+      }
+      ASSERT_TRUE(same_bytes(cube, cube_want))
+          << isa_name(isa) << " cube, trip " << trip;
+    }
   }
 }
 

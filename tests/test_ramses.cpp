@@ -6,9 +6,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "cosmo/cosmology.hpp"
 #include "parallel/pool.hpp"
@@ -240,11 +243,61 @@ bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
 }
 
+/// Every interpolate_forces instance this host can run (SSE2 runs the
+/// scalar loop, AVX-512F its vector instance). Prints which run and
+/// which the host cannot run, so a missing instance never passes
+/// unnoticed.
+std::vector<math::Isa> force_instances() {
+  std::vector<math::Isa> isas;
+  std::string ran;
+  std::string not_run;
+  for (const math::Isa isa : {math::Isa::kSse2, math::Isa::kAvx512}) {
+    if (math::host_supports(isa)) {
+      isas.push_back(isa);
+      ran += std::string(" ") + math::isa_name(isa);
+    } else {
+      not_run += std::string(" ") + math::isa_name(isa);
+    }
+  }
+  std::printf(
+      "[ INSTANCE ] interpolate_forces ran:%s; not supported by this "
+      "host:%s\n",
+      ran.c_str(), not_run.empty() ? " none" : not_run.c_str());
+  return isas;
+}
+
+/// A potential with random values: the gather's bytes depend only on the
+/// mesh values, and a random mesh exists for any n.
+math::Grid3<double> random_phi(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  math::Grid3<double> phi(static_cast<std::size_t>(n));
+  for (double& v : phi.raw()) v = rng.normal();
+  return phi;
+}
+
+/// The final particles of campaign_real's first zoom2 job: 16^3, two
+/// nested levels, a 32^3 mesh and 24 steps, centred on cell (101, 59, 109)
+/// of 128 (zoom1's heaviest halo). 11,440 particles, most of them packed
+/// into the nested boxes, which cross the periodic boundary.
+ParticleSet zoom2_particles() {
+  RunParams params;
+  params.npart_dim = 16;
+  params.pm_grid = 32;
+  params.steps = 24;
+  params.seed = 2101;
+  params.zoom_levels = 2;
+  const double cell = params.box_mpc / 128.0;
+  params.zoom_centre = {101 * cell, 59 * cell, 109 * cell};
+  return run_simulation(params).snapshots.back().particles;
+}
+
 TEST(Pm, CicAndForcesMatchPeriodicLookupBytes) {
   // Random particles plus ones on and next to every box face, so each
   // wrapped index (below 0 and past n-1) is exercised: x = 0 puts the
   // first CIC corner at i0 = -1 and x = nextafter(1, 0) at i0 = n - 1, so
-  // the gather reaches -2 and n + 1, outside [-n, 2n) at n = 1.
+  // the gather reaches -2 and n + 1, outside [-n, 2n) at n = 1. A few
+  // particles outside the box reach past [-n, 2n) at every n, which the
+  // AVX-512 instance leaves to the scalar loop block by block.
   Rng rng(8);
   ParticleSet particles;
   const double edges[] = {0.0,  1e-9, 0.01, 0.5, 0.99, 1.0 - 1e-12,
@@ -255,23 +308,52 @@ TEST(Pm, CicAndForcesMatchPeriodicLookupBytes) {
       particles.push_back(ex, ey, rng.uniform(), 0, 0, 0, 1e-4, id++, 0);
     }
   }
+  for (const double out : {-1.75, 2.5, -40.0}) {
+    particles.push_back(rng.uniform(), out, rng.uniform(), 0, 0, 0, 1e-4,
+                        id++, 0);
+  }
   while (particles.size() < 3000) {
     particles.push_back(rng.uniform(), rng.uniform(), rng.uniform(), 0, 0, 0,
                         rng.uniform(0.5, 2.0) / 3000.0, id++, 0);
   }
-  for (const int n : {1, 2, 4, 16, 32}) {
+  // The force gather also on 1 to 17 particles (no full block of eight,
+  // full blocks with every tail length) and on a clustered zoom2 set.
+  std::vector<std::pair<std::string, ParticleSet>> sets;
+  sets.emplace_back("box edges + random", particles);
+  for (std::size_t count = 1; count <= 17; ++count) {
+    ParticleSet head;
+    for (std::size_t p = 0; p < count; ++p) {
+      head.push_back(particles.x[p], particles.y[p], particles.z[p], 0, 0, 0,
+                     particles.mass[p], particles.id[p], 0);
+    }
+    sets.emplace_back(std::to_string(count) + " particles", head);
+  }
+  sets.emplace_back("zoom2", zoom2_particles());
+  ASSERT_EQ(sets.back().second.size(), 11440u);
+
+  const std::vector<math::Isa> isas = force_instances();
+  for (const int n : {1, 2, 3, 4, 16, 32}) {
     const auto delta = cic_deposit(particles, n);
     EXPECT_TRUE(same_bytes(delta.raw(), reference_cic(particles, n).raw()))
         << "cic n=" << n;
-    const auto phi = solve_poisson(delta, 1.5 * 0.27);
-    const auto acc = interpolate_forces(phi, particles);
-    const auto want = reference_forces(phi, particles);
-    for (int axis = 0; axis < 3; ++axis) {
-      const auto a = static_cast<std::size_t>(axis);
-      EXPECT_TRUE(same_bytes(acc[a], want[a]))
-          << "forces n=" << n << " axis=" << axis;
+    const auto phi = random_phi(n, 100 + static_cast<std::uint64_t>(n));
+    for (const auto& [name, set] : sets) {
+      const auto want = reference_forces(phi, set);
+      for (const std::size_t threads : {1, 4}) {
+        parallel::set_thread_count(threads);
+        for (const math::Isa isa : isas) {
+          const auto acc = interpolate_forces(isa, phi, set);
+          for (int axis = 0; axis < 3; ++axis) {
+            const auto a = static_cast<std::size_t>(axis);
+            EXPECT_TRUE(same_bytes(acc[a], want[a]))
+                << "forces " << name << " n=" << n << " axis=" << axis
+                << " " << math::isa_name(isa) << " threads=" << threads;
+          }
+        }
+      }
     }
   }
+  parallel::set_thread_count(0);
 }
 
 TEST(Pm, MomentumUnitConversions) {
@@ -551,6 +633,24 @@ TEST(RunParams, RejectsNonsense) {
   auto nml = io::Namelist::parse("&run_params\nnpart=1\n/\n");
   ASSERT_TRUE(nml.is_ok());
   EXPECT_FALSE(RunParams::from_namelist(nml.value()).is_ok());
+}
+
+TEST(RunParams, RejectsGridsThatAreNotPowersOfTwo) {
+  // GRAFIC transforms the npart^3 mesh and the PM the pm_grid^3 one: a
+  // namelist that would reach the radix-2 FFT with another size fails
+  // here instead of aborting the process there.
+  for (const char* run : {"npart=12", "npart=24", "npart=16\npm_grid=48",
+                          "npart=16\npm_grid=0"}) {
+    auto nml = io::Namelist::parse(std::string("&run_params\n") + run +
+                                   "\n/\n");
+    ASSERT_TRUE(nml.is_ok());
+    const auto params = RunParams::from_namelist(nml.value());
+    ASSERT_FALSE(params.is_ok()) << run;
+    EXPECT_EQ(params.status().code(), ErrorCode::kInvalidArgument) << run;
+  }
+  auto nml = io::Namelist::parse("&run_params\nnpart=16\npm_grid=32\n/\n");
+  ASSERT_TRUE(nml.is_ok());
+  EXPECT_TRUE(RunParams::from_namelist(nml.value()).is_ok());
 }
 
 RunParams tiny_run() {

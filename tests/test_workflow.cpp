@@ -217,6 +217,75 @@ TEST(Services, BadArgumentsReturnErrorCode) {
   std::filesystem::remove_all(options.work_dir);
 }
 
+TEST(Services, RealModeRejectsAGridThatIsNotAPowerOfTwo) {
+  // Real mode runs min(resolution, real_max_resolution) particles a side:
+  // resolution 24 gives a 24^3 load, which the radix-2 FFT cannot
+  // transform. Both services finish the call with rc 1, as on a bad
+  // argument, and the process lives on.
+  ServiceOptions options;
+  options.mode = ServiceMode::kReal;
+  options.work_dir = temp_dir("real_npow2");
+  MiniGrid grid(options);
+
+  diet::Profile result;
+  EXPECT_FALSE(
+      grid.call(make_zoom1_profile("/none.nml", 4096, 24, 100), &result)
+          .is_ok());
+  EXPECT_EQ(result.arg(4).get_scalar<std::int32_t>().value(), 1);
+  EXPECT_FALSE(
+      grid.call(make_zoom2_profile("/none.nml", 4096, 24, 100, 12, 12, 12, 1),
+                &result)
+          .is_ok());
+  EXPECT_EQ(result.arg(8).get_scalar<std::int32_t>().value(), 1);
+  std::filesystem::remove_all(options.work_dir);
+}
+
+TEST(Services, RealModeKeepsANamelistWhoseGridItReplaces) {
+  // The profile's resolution sets the grid, so a namelist grid that is not
+  // a power of two must not drop the rest of the namelist: its run ends at
+  // the namelist's aend and matches the same namelist with a valid grid
+  // byte for byte.
+  ServiceOptions options;
+  options.mode = ServiceMode::kReal;
+  options.work_dir = temp_dir("real_nml");
+  options.real_max_resolution = 8;
+  options.real_steps = 6;
+  MiniGrid grid(options);
+
+  const auto catalog_path = [&](const std::string& namelist_path) {
+    diet::Profile result;
+    const gc::Status status =
+        grid.call(make_zoom1_profile(namelist_path, 4096, 32, 100), &result);
+    EXPECT_TRUE(status.is_ok()) << status.to_string();
+    auto file = result.arg(3).get_file();
+    return file.is_ok() ? file.value().path : std::string();
+  };
+  const auto write_namelist = [&](const char* name, int npart) {
+    const std::string path = options.work_dir + "/" + name;
+    std::ofstream(path) << "&run_params\n npart = " << npart
+                        << "\n pm_grid = " << 2 * npart
+                        << "\n aend = 0.9\n/\n"
+                        << "&cosmo_params\n omega_m = 0.6\n/\n";
+    return path;
+  };
+  const auto bytes_of = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+
+  const std::string odd_grid = catalog_path(write_namelist("odd.nml", 24));
+  const std::string valid_grid = catalog_path(write_namelist("valid.nml", 8));
+  const std::string defaults = catalog_path("/none.nml");
+  auto odd = halo::read_catalog(odd_grid);
+  auto fallback = halo::read_catalog(defaults);
+  ASSERT_TRUE(odd.is_ok());
+  ASSERT_TRUE(fallback.is_ok());
+  EXPECT_EQ(odd.value().aexp, 0.9);
+  EXPECT_EQ(fallback.value().aexp, 1.0);
+  EXPECT_EQ(bytes_of(odd_grid), bytes_of(valid_grid));
+  std::filesystem::remove_all(options.work_dir);
+}
+
 TEST(Services, RealModeZoom1RunsActualPipeline) {
   ServiceOptions options;
   options.mode = ServiceMode::kReal;
