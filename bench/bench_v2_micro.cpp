@@ -33,19 +33,6 @@
 
 namespace {
 
-void BM_Fft1D(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<gc::math::Complex> data(n);
-  gc::Rng rng(1);
-  for (auto& v : data) v = {rng.normal(), rng.normal()};
-  for (auto _ : state) {
-    gc::math::fft(data, false);
-    benchmark::DoNotOptimize(data.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_Fft1D)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
-
 void BM_Fft3D(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   gc::parallel::set_thread_count(static_cast<std::size_t>(state.range(1)));
@@ -188,7 +175,8 @@ int run_parallel_sweep(const std::string& path) {
   bool deterministic = true;
 
   // `isa` tags the rows whose timing runs the FFT or force-gather
-  // instances: fft3, pm_step, grafic_2lpt and interpolate_forces.
+  // instances: fft3, solve_poisson, pm_step, grafic_2lpt and
+  // interpolate_forces.
   const char* const isa = gc::math::isa_name(gc::math::host_isa());
   auto record = [&](const std::string& kernel, long n,
                     const std::vector<double>& ms, const char* row_isa = "") {
@@ -224,6 +212,31 @@ int run_parallel_sweep(const std::string& path) {
       }
     }
     record("fft3", static_cast<long>(n), ms, isa);
+  }
+
+  // The Poisson solve on campaign_real's 32^3 PM mesh: two fft3 calls, the
+  // Green multiply and the field copies of one force evaluation.
+  {
+    const std::size_t n = 32;
+    gc::math::Grid3<double> delta(n);
+    gc::Rng rng(3);
+    for (double& v : delta.raw()) v = rng.normal();
+    const double rhs = 1.5 * 0.27 / 0.6;
+    std::vector<double> reference;
+    std::vector<double> ms;
+    for (const std::size_t t : thread_counts) {
+      gc::parallel::set_thread_count(t);
+      ms.push_back(time_ms(20, [&] {
+        benchmark::DoNotOptimize(gc::ramses::solve_poisson(delta, rhs));
+      }));
+      const auto phi = gc::ramses::solve_poisson(delta, rhs);
+      if (t == thread_counts.front()) {
+        reference = phi.raw();
+      } else {
+        deterministic &= same_bytes(reference, phi.raw());
+      }
+    }
+    record("solve_poisson", static_cast<long>(n), ms, isa);
   }
 
   // CIC deposit: 64^3 particles onto a 64^3 mesh.

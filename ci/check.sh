@@ -72,6 +72,15 @@ PM_SHA=$(./build/examples/pm_simulation --n 16 --steps 8 --zoom 2 --threads 4 |
   exit 1
 }
 echo "pm_simulation --n 16 --steps 8 --zoom 2 --threads 4: sha256 pinned"
+# The same pipeline on a 64^3 mesh: 64-point FFT lines and an axis-0
+# stride of 4096, shapes the 32^3 mesh above never runs.
+PM64_SHA=$(./build/examples/pm_simulation --n 32 --steps 12 --zoom 2 --threads 4 |
+  sha256sum | cut -d' ' -f1)
+[[ "$PM64_SHA" == "4ef9f607862806f3650aad2f56b4d0187b2f630c3847c6273f86e49349e366b2" ]] || {
+  echo "pm_simulation --n 32 stdout moved: sha256 $PM64_SHA" >&2
+  exit 1
+}
+echo "pm_simulation --n 32 --steps 12 --zoom 2 --threads 4: sha256 pinned"
 
 step "galaxy_pipeline results tarball pinned (FoF on five snapshots)"
 # HaloMaker on every output, TreeMaker and GalaxyMaker, packed as a

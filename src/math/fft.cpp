@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -18,38 +19,51 @@ namespace gc::math {
 
 namespace {
 
-/// Twiddle table for size n: tw[j] = exp(-2*pi*i*j/n), j < n/2. Computed
-/// once per FFT size (direct cos/sin per entry, no incremental recurrence
-/// accumulating rounding error) and shared by every transform of that size.
-/// Each axis of a 3D transform fetches it once, before fanning out.
-class TwiddleCache {
+/// What every transform of size n shares: the twiddles tw[j] =
+/// exp(-2*pi*i*j/n), j < n/2 (direct cos/sin per entry, no incremental
+/// recurrence accumulating rounding error), and the bit-reversal
+/// permutation rev[k] of the log2(n)-bit index k. Computed once per size
+/// and fetched once per axis of a 3D transform, before fanning out.
+struct Plan {
+  std::vector<Complex> tw;
+  std::vector<std::uint32_t> rev;
+};
+
+class PlanCache {
  public:
-  static const std::vector<Complex>& get(std::size_t n) {
-    static TwiddleCache cache;
+  static const Plan& get(std::size_t n) {
+    static PlanCache cache;
     {
       std::shared_lock<std::shared_mutex> lock(cache.mutex_);
-      if (auto it = cache.tables_.find(n); it != cache.tables_.end()) {
+      if (auto it = cache.plans_.find(n); it != cache.plans_.end()) {
         return *it->second;
       }
     }
     std::unique_lock<std::shared_mutex> lock(cache.mutex_);
-    auto& slot = cache.tables_[n];
+    auto& slot = cache.plans_[n];
     if (!slot) {
-      auto table = std::make_unique<std::vector<Complex>>(
-          std::max<std::size_t>(n / 2, 1));
-      for (std::size_t j = 0; j < table->size(); ++j) {
+      auto plan = std::make_unique<Plan>();
+      plan->tw.resize(std::max<std::size_t>(n / 2, 1));
+      for (std::size_t j = 0; j < plan->tw.size(); ++j) {
         const double angle =
             -2.0 * M_PI * static_cast<double>(j) / static_cast<double>(n);
-        (*table)[j] = Complex(std::cos(angle), std::sin(angle));
+        plan->tw[j] = Complex(std::cos(angle), std::sin(angle));
       }
-      slot = std::move(table);
+      plan->rev.resize(n);
+      for (std::size_t i = 1, j = 0; i < n; ++i) {
+        std::size_t bit = n >> 1;
+        for (; j & bit; bit >>= 1) j ^= bit;
+        j ^= bit;
+        plan->rev[i] = static_cast<std::uint32_t>(j);
+      }
+      slot = std::move(plan);
     }
     return *slot;
   }
 
  private:
   std::shared_mutex mutex_;
-  std::map<std::size_t, std::unique_ptr<std::vector<Complex>>> tables_;
+  std::map<std::size_t, std::unique_ptr<Plan>> plans_;
 };
 
 /// Two or eight doubles in one register: the widths of SSE2 and AVX-512F.
@@ -59,6 +73,11 @@ class TwiddleCache {
 /// no product is fused into a sum where the instruction set has FMA.
 using V2 = double __attribute__((vector_size(16)));
 using V8 = double __attribute__((vector_size(64)));
+
+/// Shuffle masks for V2 and V8: entry i names the lane of the pair (a, b)
+/// that lane i of the result takes, b's lanes counting on from a's.
+using M2 = long __attribute__((vector_size(16)));
+using M8 = long __attribute__((vector_size(64)));
 
 /// Element k of G*L lines transformed in lockstep, L = the lanes of V: the
 /// reals of the lines in `re`, the imaginaries in `im`, lane b at
@@ -94,40 +113,102 @@ class RowBuffer {
   std::unique_ptr<std::byte[]> storage_;
 };
 
+// Lane moves. Every helper is always inlined, like the kernels below: the
+// instances are built inside target functions, and a function they call
+// out of line would be compiled for baseline x86-64 instead.
+
+/// The L doubles (L/2 complex values) at p, at any alignment, into v.
+/// Vectors pass by reference: returning a 64-byte one by value would
+/// change the ABI of a baseline function.
+template <typename V>
+[[gnu::always_inline]] inline void load(const Complex* p, V& v) {
+  std::memcpy(&v, static_cast<const void*>(p), sizeof(V));
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void store(Complex* p, const V& v) {
+  std::memcpy(static_cast<void*>(p), &v, sizeof(V));
+}
+
+/// a and b each hold L/2 complex values as (re, im) pairs: `re` gets the
+/// reals of a's values then b's, `im` their imaginaries.
+template <typename V>
+[[gnu::always_inline]] inline void split(const V& a, const V& b, V& re,
+                                         V& im) {
+  if constexpr (sizeof(V) == sizeof(V2)) {
+    re = __builtin_shuffle(a, b, M2{0, 2});
+    im = __builtin_shuffle(a, b, M2{1, 3});
+  } else {
+    re = __builtin_shuffle(a, b, M8{0, 2, 4, 6, 8, 10, 12, 14});
+    im = __builtin_shuffle(a, b, M8{1, 3, 5, 7, 9, 11, 13, 15});
+  }
+}
+
+/// The inverse of split: L complex values, (re, im) pairs, the first L/2
+/// into a, the rest into b.
+template <typename V>
+[[gnu::always_inline]] inline void join(const V& re, const V& im, V& a,
+                                        V& b) {
+  if constexpr (sizeof(V) == sizeof(V2)) {
+    a = __builtin_shuffle(re, im, M2{0, 2});
+    b = __builtin_shuffle(re, im, M2{1, 3});
+  } else {
+    a = __builtin_shuffle(re, im, M8{0, 8, 1, 9, 2, 10, 3, 11});
+    b = __builtin_shuffle(re, im, M8{4, 12, 5, 13, 6, 14, 7, 15});
+  }
+}
+
+/// One round of an 8x8 transpose: swaps bit `Bit` of the row index with
+/// the same bit of the column index. Row r of the matrix is register t[r];
+/// `low` and `high` build the new rows r and r | Bit (r without Bit) from
+/// the old pair.
+template <std::size_t Bit>
+[[gnu::always_inline]] inline void swap_index_bit(V8* t, const M8& low,
+                                                  const M8& high) {
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < 8; ++r) {
+    if (r & Bit) continue;
+    const V8 a = t[r];
+    const V8 b = t[r | Bit];
+    t[r] = __builtin_shuffle(a, b, low);
+    t[r | Bit] = __builtin_shuffle(a, b, high);
+  }
+}
+
+/// Transposes the L x L matrix of doubles whose row r is t[r], in place.
+template <typename V>
+[[gnu::always_inline]] inline void transpose(V* t) {
+  if constexpr (sizeof(V) == sizeof(V2)) {
+    const V a = t[0];
+    const V b = t[1];
+    t[0] = __builtin_shuffle(a, b, M2{0, 2});
+    t[1] = __builtin_shuffle(a, b, M2{1, 3});
+  } else {
+    swap_index_bit<1>(t, M8{0, 8, 2, 10, 4, 12, 6, 14},
+                      M8{1, 9, 3, 11, 5, 13, 7, 15});
+    swap_index_bit<2>(t, M8{0, 1, 8, 9, 4, 5, 12, 13},
+                      M8{2, 3, 10, 11, 6, 7, 14, 15});
+    swap_index_bit<4>(t, M8{0, 1, 2, 3, 8, 9, 10, 11},
+                      M8{4, 5, 6, 7, 12, 13, 14, 15});
+  }
+}
+
 /// The line kernel every transform goes through: an in-place radix-2
 /// transform of the G*L length-n lines held element-major in `x` (row k is
-/// element k of every line). Bit-reversal permutation of the rows, then the
-/// butterfly passes in textbook order. The butterflies of one pass touch
-/// disjoint elements, so they run twiddle by twiddle (one table load per
-/// twiddle) without changing any result. Every lane does the textbook
-/// butterfly's operations in its order, the multiply being `mul`'s four
-/// products and two sums, so each line's output is bit-identical to the
-/// textbook loop on std::complex. `tw` is the size-n twiddle table.
-///
-/// Always inlined: the instances below are built inside target functions,
-/// and a function they call out of line would be compiled for baseline
-/// x86-64 instead.
+/// element k of every line), whose rows the gather already put in
+/// bit-reversed order. The butterfly passes run in textbook order. The
+/// butterflies of one pass touch disjoint elements, so they run twiddle by
+/// twiddle (one table load per twiddle) without changing any result. Every
+/// lane does the textbook butterfly's operations in its order, the
+/// multiply being `mul`'s four products and two sums, so each line's
+/// output is bit-identical to the textbook loop on std::complex. `tw` is
+/// the size-n twiddle table.
 template <typename V, std::size_t G>
 [[gnu::always_inline]] inline void transform_rows(Lanes<V, G>* x,
                                                   std::size_t n,
                                                   const Complex* tw,
                                                   bool inverse) {
   constexpr std::size_t L = Lanes<V, G>::kLanes;
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) {
-      for (std::size_t g = 0; g < G; ++g) {
-        const V re = x[i].re[g];
-        const V im = x[i].im[g];
-        x[i].re[g] = x[j].re[g];
-        x[i].im[g] = x[j].im[g];
-        x[j].re[g] = re;
-        x[j].im[g] = im;
-      }
-    }
-  }
   // Negating the imaginary part is exact, so this is std::conj.
   const double conj_sign = inverse ? -1.0 : 1.0;
   for (std::size_t len = 2; len <= n; len <<= 1) {
@@ -171,38 +252,6 @@ template <typename V, std::size_t G>
   }
 }
 
-/// Transforms `width` <= G*L lines of length n: line b starts at line[b]
-/// and steps by `stride`. The lines are gathered element-major into `rows`
-/// (n entries), the lanes past `width` zeroed, transformed in lockstep,
-/// and only the live lanes scattered back.
-template <typename V, std::size_t G>
-[[gnu::always_inline]] inline void transform_lines(
-    Lanes<V, G>* rows, Complex* const* line, std::size_t width,
-    std::size_t n, std::size_t stride, const Complex* tw, bool inverse) {
-  constexpr std::size_t L = Lanes<V, G>::kLanes;
-  for (std::size_t k = 0; k < n; ++k) {
-    Lanes<V, G>& row = rows[k];
-    for (std::size_t b = 0; b < G * L; ++b) {
-      const Complex z = b < width ? line[b][k * stride] : Complex();
-      row.re[b / L][b % L] = z.real();
-      row.im[b / L][b % L] = z.imag();
-    }
-  }
-  transform_rows(rows, n, tw, inverse);
-  for (std::size_t k = 0; k < n; ++k) {
-    const Lanes<V, G>& row = rows[k];
-    for (std::size_t b = 0; b < width; ++b) {
-      line[b][k * stride] = Complex(row.re[b / L][b % L], row.im[b / L][b % L]);
-    }
-  }
-}
-
-/// Scheduling grain for the pencil loops: enough lines per chunk that the
-/// dispatch cost is negligible next to the O(n log n) line transforms.
-std::size_t pencil_grain(std::size_t line_length) {
-  return std::max<std::size_t>(1, 2048 / std::max<std::size_t>(line_length, 1));
-}
-
 /// One axis of a 3D transform: line l of the `total / n` lines starts at
 /// (l >> shift) * n * stride + (l & (stride - 1)) and steps by `stride` (a
 /// power of two, 1 << shift).
@@ -212,8 +261,127 @@ struct Axis {
   std::size_t stride;
   int shift;
   const Complex* tw;
+  const std::uint32_t* rev;
   bool inverse;
 };
+
+/// Gathers elements [k0, k0 + C) of a block batch, C = L/2: in each lane
+/// group g, the registers holding those elements of its L lines transpose
+/// into the reals and imaginaries of each element, element k going to row
+/// rev[k].
+template <typename V, std::size_t G>
+[[gnu::always_inline]] inline void gather_block(Lanes<V, G>* rows,
+                                                Complex* const* line,
+                                                std::size_t k0,
+                                                const std::uint32_t* rev) {
+  constexpr std::size_t L = Lanes<V, G>::kLanes;
+  for (std::size_t g = 0; g < G; ++g) {
+    V t[L] = {};
+    for (std::size_t r = 0; r < L; ++r) load(line[g * L + r] + k0, t[r]);
+    transpose(t);
+    for (std::size_t e = 0; e < L / 2; ++e) {
+      rows[rev[k0 + e]].re[g] = t[2 * e];
+      rows[rev[k0 + e]].im[g] = t[2 * e + 1];
+    }
+  }
+}
+
+/// The inverse of gather_block for the transformed rows, which are in
+/// natural order: rows [k0, k0 + C) back into elements [k0, k0 + C).
+template <typename V, std::size_t G>
+[[gnu::always_inline]] inline void scatter_block(const Lanes<V, G>* rows,
+                                                 Complex* const* line,
+                                                 std::size_t k0) {
+  constexpr std::size_t L = Lanes<V, G>::kLanes;
+  for (std::size_t g = 0; g < G; ++g) {
+    V t[L] = {};
+    for (std::size_t e = 0; e < L / 2; ++e) {
+      t[2 * e] = rows[k0 + e].re[g];
+      t[2 * e + 1] = rows[k0 + e].im[g];
+    }
+    transpose(t);
+    for (std::size_t r = 0; r < L; ++r) store(line[g * L + r] + k0, t[r]);
+  }
+}
+
+/// Transforms `width` <= G*L lines of `axis`, line b starting at line[b]:
+/// gathers them element-major into `rows` (n entries), element k into row
+/// rev[k], transforms in lockstep, and scatters the live lanes back. The
+/// batch picks how its rows move; every way moves the same values.
+///  - Whole rows: a full batch of strided lines next to each other in
+///    memory (axes 1 and 0). Element k of all G*L lines is G*L adjacent
+///    complex values, loaded whole and split into reals and imaginaries.
+///  - Blocks: a full batch of stride-1 lines (axis 2) with at least C =
+///    L/2 points, C being one register's complex count. A register holds
+///    C elements of one line; L such registers, one per line of a lane
+///    group, transpose into the reals and imaginaries of those elements.
+///  - Lanes: any other batch (partial, lines not evenly spaced, or lines
+///    too short for a block), one value per lane, lanes past `width`
+///    zeroed.
+template <typename V, std::size_t G>
+[[gnu::always_inline]] inline void transform_lines(
+    Lanes<V, G>* rows, Complex* const* line, std::size_t width,
+    const Axis& axis) {
+  constexpr std::size_t L = Lanes<V, G>::kLanes;
+  constexpr std::size_t kWidth = Lanes<V, G>::kWidth;
+  constexpr std::size_t C = L / 2;  // complex values per register
+  const std::size_t n = axis.n;
+  const std::size_t stride = axis.stride;
+  const std::uint32_t* rev = axis.rev;
+  const bool full = width == kWidth;
+  if (full && stride > 1 && line[kWidth - 1] == line[0] + (kWidth - 1)) {
+    for (std::size_t k = 0; k < n; ++k) {
+      const Complex* src = line[0] + k * stride;
+      Lanes<V, G>& row = rows[rev[k]];
+      for (std::size_t g = 0; g < G; ++g) {
+        V a = {};
+        V b = {};
+        load(src + g * L, a);
+        load(src + g * L + C, b);
+        split(a, b, row.re[g], row.im[g]);
+      }
+    }
+    transform_rows(rows, n, axis.tw, axis.inverse);
+    for (std::size_t k = 0; k < n; ++k) {
+      Complex* dst = line[0] + k * stride;
+      const Lanes<V, G>& row = rows[k];
+      for (std::size_t g = 0; g < G; ++g) {
+        V a = {};
+        V b = {};
+        join(row.re[g], row.im[g], a, b);
+        store(dst + g * L, a);
+        store(dst + g * L + C, b);
+      }
+    }
+  } else if (full && stride == 1 && n >= C) {
+    for (std::size_t k0 = 0; k0 < n; k0 += C) gather_block(rows, line, k0, rev);
+    transform_rows(rows, n, axis.tw, axis.inverse);
+    for (std::size_t k0 = 0; k0 < n; k0 += C) scatter_block(rows, line, k0);
+  } else {
+    for (std::size_t k = 0; k < n; ++k) {
+      Lanes<V, G>& row = rows[rev[k]];
+      for (std::size_t b = 0; b < kWidth; ++b) {
+        const Complex z = b < width ? line[b][k * stride] : Complex();
+        row.re[b / L][b % L] = z.real();
+        row.im[b / L][b % L] = z.imag();
+      }
+    }
+    transform_rows(rows, n, axis.tw, axis.inverse);
+    for (std::size_t k = 0; k < n; ++k) {
+      const Lanes<V, G>& row = rows[k];
+      for (std::size_t b = 0; b < width; ++b) {
+        line[b][k * stride] =
+            Complex(row.re[b / L][b % L], row.im[b / L][b % L]);
+      }
+    }
+  }
+}
+
+/// Scheduling grain for the pencil loops: enough lines per chunk that the
+/// dispatch cost is negligible next to the O(n log n) line transforms.
+std::size_t pencil_grain(std::size_t line_length) {
+  return std::max<std::size_t>(1, 2048 / std::max<std::size_t>(line_length, 1));
+}
 
 /// Transforms lines [begin, end) of `axis`, G*L at a time, the last batch
 /// possibly partial. Lines next to each other in a strided axis are
@@ -234,8 +402,7 @@ template <typename V, std::size_t G>
       line[b] = axis.data + ((l >> axis.shift) * axis.n << axis.shift) +
                 (l & (axis.stride - 1));
     }
-    transform_lines(rows.get(), line, width, axis.n, axis.stride, axis.tw,
-                    axis.inverse);
+    transform_lines(rows.get(), line, width, axis);
   }
 }
 
@@ -259,8 +426,14 @@ __attribute__((target("avx512f"))) void transform_chunk_avx512(
 /// identical at any thread count.
 void transform_axis(Isa isa, Complex* d, std::size_t total, std::size_t n,
                     std::size_t stride, bool inverse) {
-  const Axis axis{d, n, stride, std::countr_zero(stride),
-                  TwiddleCache::get(n).data(), inverse};
+  const Plan& plan = PlanCache::get(n);
+  const Axis axis{d,
+                  n,
+                  stride,
+                  std::countr_zero(stride),
+                  plan.tw.data(),
+                  plan.rev.data(),
+                  inverse};
   void (*chunk)(const Axis&, std::size_t, std::size_t) =
       isa == Isa::kAvx512 ? transform_chunk_avx512 : transform_chunk_sse2;
   parallel::parallel_for(0, total / n, pencil_grain(n),
@@ -270,16 +443,6 @@ void transform_axis(Isa isa, Complex* d, std::size_t total, std::size_t n,
 }
 
 }  // namespace
-
-void fft(std::vector<Complex>& data, bool inverse) {
-  GC_CHECK_MSG(is_pow2(data.size()), "FFT size must be a power of two");
-  // The lockstep kernel at its narrowest: one SSE2 register per part, one
-  // of its two lanes live.
-  const RowBuffer<Lanes<V2, 1>> rows(data.size());
-  Complex* line[] = {data.data()};
-  transform_lines(rows.get(), line, 1, data.size(), 1,
-                  TwiddleCache::get(data.size()).data(), inverse);
-}
 
 void fft3(std::vector<Complex>& data, std::size_t n0, std::size_t n1,
           std::size_t n2, bool inverse) {

@@ -1,4 +1,4 @@
-// Radix-2 complex FFT, 1D and 3D.
+// Radix-2 complex FFT in three dimensions (any of them may be 1).
 //
 // The PM gravity solver and the GRAFIC initial-conditions generator both
 // need 3D transforms on power-of-two grids. This is a classic iterative
@@ -28,12 +28,11 @@ inline Complex mul(const Complex& a, const Complex& b) {
 /// True iff n is a power of two (and > 0).
 constexpr bool is_pow2(std::size_t n) { return n > 0 && (n & (n - 1)) == 0; }
 
-/// In-place 1D FFT. `inverse` applies the conjugate transform and divides
-/// by N, so fft(fft(x), inverse=true) == x up to rounding.
-void fft(std::vector<Complex>& data, bool inverse);
-
 /// In-place 3D FFT on an n0*n1*n2 row-major array (index = (i0*n1+i1)*n2+i2).
-/// All dimensions must be powers of two. Runs the host_isa() instance.
+/// All dimensions must be powers of two; length-1 axes make it a 2D or 1D
+/// transform. `inverse` applies the conjugate transform and divides by the
+/// size, so a forward then an inverse transform give back the input up to
+/// rounding. Runs the host_isa() instance.
 void fft3(std::vector<Complex>& data, std::size_t n0, std::size_t n1,
           std::size_t n2, bool inverse);
 

@@ -15,19 +15,36 @@
 namespace gc::math {
 namespace {
 
+/// One line through fft3, laid out 1x1xn (the stride-1 axis 2) or nx1x1
+/// (axis 0, the last one transformed).
+enum class LineShape { kAxis2, kAxis0 };
+
+void fft_line(std::vector<Complex>& data, LineShape shape, bool inverse) {
+  const std::size_t n = data.size();
+  if (shape == LineShape::kAxis2) {
+    fft3(data, 1, 1, n, inverse);
+  } else {
+    fft3(data, n, 1, 1, inverse);
+  }
+}
+
+constexpr LineShape kLineShapes[] = {LineShape::kAxis2, LineShape::kAxis0};
+
 class FftRoundtrip : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FftRoundtrip, InverseRecovers) {
   const std::size_t n = GetParam();
-  Rng rng(n);
-  std::vector<Complex> data(n);
-  for (auto& v : data) v = {rng.normal(), rng.normal()};
-  const std::vector<Complex> original = data;
-  fft(data, false);
-  fft(data, true);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(data[i].real(), original[i].real(), 1e-10);
-    EXPECT_NEAR(data[i].imag(), original[i].imag(), 1e-10);
+  for (const LineShape shape : kLineShapes) {
+    Rng rng(n);
+    std::vector<Complex> data(n);
+    for (auto& v : data) v = {rng.normal(), rng.normal()};
+    const std::vector<Complex> original = data;
+    fft_line(data, shape, false);
+    fft_line(data, shape, true);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(data[i].real(), original[i].real(), 1e-10);
+      EXPECT_NEAR(data[i].imag(), original[i].imag(), 1e-10);
+    }
   }
 }
 
@@ -35,63 +52,71 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FftRoundtrip,
                          ::testing::Values(1, 2, 4, 8, 64, 256, 1024));
 
 TEST(Fft, DeltaFunctionIsFlat) {
-  std::vector<Complex> data(16, Complex(0.0, 0.0));
-  data[0] = Complex(1.0, 0.0);
-  fft(data, false);
-  for (const Complex& v : data) {
-    EXPECT_NEAR(v.real(), 1.0, 1e-12);
-    EXPECT_NEAR(v.imag(), 0.0, 1e-12);
+  for (const LineShape shape : kLineShapes) {
+    std::vector<Complex> data(16, Complex(0.0, 0.0));
+    data[0] = Complex(1.0, 0.0);
+    fft_line(data, shape, false);
+    for (const Complex& v : data) {
+      EXPECT_NEAR(v.real(), 1.0, 1e-12);
+      EXPECT_NEAR(v.imag(), 0.0, 1e-12);
+    }
   }
 }
 
 TEST(Fft, SingleModeLandsInOneBin) {
   const std::size_t n = 64;
-  std::vector<Complex> data(n);
   const int k = 5;
-  for (std::size_t i = 0; i < n; ++i) {
-    data[i] = Complex(std::cos(2.0 * M_PI * k * static_cast<double>(i) / n),
-                      0.0);
-  }
-  fft(data, false);
-  // cos -> two symmetric spikes at k and n-k of height n/2.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double expected =
-        (i == static_cast<std::size_t>(k) || i == n - k) ? n / 2.0 : 0.0;
-    EXPECT_NEAR(std::abs(data[i]), expected, 1e-9) << "bin " << i;
+  for (const LineShape shape : kLineShapes) {
+    std::vector<Complex> data(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      data[i] = Complex(
+          std::cos(2.0 * M_PI * k * static_cast<double>(i) / n), 0.0);
+    }
+    fft_line(data, shape, false);
+    // cos -> two symmetric spikes at k and n-k of height n/2.
+    for (std::size_t i = 0; i < n; ++i) {
+      const double expected =
+          (i == static_cast<std::size_t>(k) || i == n - k) ? n / 2.0 : 0.0;
+      EXPECT_NEAR(std::abs(data[i]), expected, 1e-9) << "bin " << i;
+    }
   }
 }
 
 TEST(Fft, ParsevalHolds) {
   const std::size_t n = 256;
-  Rng rng(3);
-  std::vector<Complex> data(n);
-  double time_energy = 0.0;
-  for (auto& v : data) {
-    v = {rng.normal(), rng.normal()};
-    time_energy += std::norm(v);
+  for (const LineShape shape : kLineShapes) {
+    Rng rng(3);
+    std::vector<Complex> data(n);
+    double time_energy = 0.0;
+    for (auto& v : data) {
+      v = {rng.normal(), rng.normal()};
+      time_energy += std::norm(v);
+    }
+    fft_line(data, shape, false);
+    double freq_energy = 0.0;
+    for (const auto& v : data) freq_energy += std::norm(v);
+    EXPECT_NEAR(freq_energy, time_energy * n, time_energy * n * 1e-12);
   }
-  fft(data, false);
-  double freq_energy = 0.0;
-  for (const auto& v : data) freq_energy += std::norm(v);
-  EXPECT_NEAR(freq_energy, time_energy * n, time_energy * n * 1e-12);
 }
 
 TEST(Fft, Linearity) {
   const std::size_t n = 32;
-  Rng rng(4);
-  std::vector<Complex> a(n);
-  std::vector<Complex> b(n);
-  std::vector<Complex> sum(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    a[i] = {rng.normal(), 0.0};
-    b[i] = {rng.normal(), 0.0};
-    sum[i] = a[i] + 2.0 * b[i];
-  }
-  fft(a, false);
-  fft(b, false);
-  fft(sum, false);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(std::abs(sum[i] - (a[i] + 2.0 * b[i])), 0.0, 1e-9);
+  for (const LineShape shape : kLineShapes) {
+    Rng rng(4);
+    std::vector<Complex> a(n);
+    std::vector<Complex> b(n);
+    std::vector<Complex> sum(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = {rng.normal(), 0.0};
+      b[i] = {rng.normal(), 0.0};
+      sum[i] = a[i] + 2.0 * b[i];
+    }
+    fft_line(a, shape, false);
+    fft_line(b, shape, false);
+    fft_line(sum, shape, false);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(std::abs(sum[i] - (a[i] + 2.0 * b[i])), 0.0, 1e-9);
+    }
   }
 }
 
@@ -166,7 +191,7 @@ TEST(Fft, IsPow2) {
 // ---------- FFT byte oracle ----------
 
 // The textbook iterative radix-2 transform on std::complex, strided, one
-// pencil at a time: the reference fft/fft3 must reproduce byte for byte.
+// pencil at a time: the reference fft3 must reproduce byte for byte.
 // Its multiply is std::complex operator*, so this also pins `mul` to it.
 void reference_fft_strided(Complex* data, std::size_t n, std::size_t stride,
                            bool inverse) {
@@ -256,46 +281,76 @@ std::vector<Isa> fft3_instances() {
 }
 
 TEST(FftOracle, LineMatchesReferenceBytes) {
-  // fft() runs the lockstep kernel with one live lane; n = 1 has no
-  // butterfly at all and n = 2 only the first pass.
-  for (std::size_t n = 1; n <= 1024; n <<= 1) {
-    for (const bool inverse : {false, true}) {
-      std::vector<Complex> got = oracle_input(n, n);
-      std::vector<Complex> want = got;
-      fft(got, inverse);
-      reference_fft_strided(want.data(), n, 1, inverse);
-      EXPECT_TRUE(same_bytes(got, want)) << "n=" << n << " inverse=" << inverse;
+  // One line of 1 to 1024 points as 1x1xn and as nx1x1: a batch with one
+  // live lane. n = 1 has no butterfly at all and n = 2 only the first
+  // pass.
+  for (const Isa isa : fft3_instances()) {
+    for (const std::size_t threads : {1, 4}) {
+      parallel::set_thread_count(threads);
+      for (std::size_t n = 1; n <= 1024; n <<= 1) {
+        for (const bool inverse : {false, true}) {
+          const std::vector<Complex> input = oracle_input(n, n);
+          std::vector<Complex> want = input;
+          reference_fft_strided(want.data(), n, 1, inverse);
+          std::vector<Complex> along2 = input;
+          fft3(isa, along2, 1, 1, n, inverse);
+          std::vector<Complex> along0 = input;
+          fft3(isa, along0, n, 1, 1, inverse);
+          EXPECT_TRUE(same_bytes(along2, want))
+              << isa_name(isa) << " 1x1x" << n << " inverse=" << inverse
+              << " threads=" << threads;
+          EXPECT_TRUE(same_bytes(along0, want))
+              << isa_name(isa) << " " << n << "x1x1 inverse=" << inverse
+              << " threads=" << threads;
+        }
+      }
     }
   }
+  parallel::set_thread_count(0);
 }
 
 TEST(FftOracle, CubeMatchesReferenceBytesAtAnyThreadCount) {
   struct Shape {
     std::size_t n0, n1, n2;
   };
-  // Past the cubes, shapes whose axes leave a batch of eight lines partly
-  // empty: strides below eight, line counts that are not a multiple of
-  // eight, single lines, and length-1 axes. The last four leave the
-  // AVX-512 instance's batches of sixteen lines half full: eight lines in
-  // all, or axes of 256 and 1024 points, whose pool chunks hold eight and
-  // two lines.
-  const Shape shapes[] = {{4, 4, 4},   {8, 8, 8},   {16, 16, 16},
-                          {32, 32, 32}, {64, 64, 64}, {4, 16, 8},
-                          {2, 4, 8},   {1, 1, 32},  {1, 32, 1},
-                          {32, 1, 1},  {2, 2, 2},   {8, 1, 4},
-                          {1, 2, 64},  {16, 2, 1},  {1, 1, 1},
-                          {2, 4, 256}, {256, 4, 4}, {4, 256, 2},
-                          {1, 1024, 4}};
-  for (const Isa isa : fft3_instances()) {
-    for (const std::size_t threads : {1, 4}) {
-      parallel::set_thread_count(threads);
-      for (const Shape& s : shapes) {
-        for (const bool inverse : {false, true}) {
-          std::vector<Complex> got =
-              oracle_input(s.n0 * s.n1 * s.n2, s.n0 + 3 * s.n1 + 7 * s.n2);
-          std::vector<Complex> want = got;
+  // A batch moves its rows one of three ways (fft.cpp, transform_lines):
+  // whole rows (a full batch of adjacent strided lines), register blocks
+  // (a full batch of stride-1 lines of at least one register's complex
+  // count: 1 for SSE2, 4 for AVX-512) or lane by lane (anything else).
+  // Past the cubes:
+  //  - batches of eight lines partly empty: strides below eight, line
+  //    counts that are not a multiple of eight, single lines, and length-1
+  //    axes;
+  //  - AVX-512 batches of sixteen half full: eight lines in all, or axes
+  //    of 256 and 1024 points, whose pool chunks at 4 threads hold eight
+  //    and two lines;
+  //  - stride 8 ({16, 8, 8}): whole rows at eight lines, but two runs of
+  //    eight in one batch of sixteen, lane by lane;
+  //  - stride 16 ({8, 16, 16}, {1024, 2, 8}, {2, 1024, 16}): whole rows
+  //    for both instances, at 1024 points on axes 0 and 1;
+  //  - stride-1 lines of 4 ({2, 8, 4}): one AVX-512 block per lane group;
+  //    of 2 and 1 ({2, 8, 2}, {8, 8, 2}, {16, 16, 1}): full batches too
+  //    short for an AVX-512 block, lane by lane there, blocks for SSE2;
+  //  - 1024-point stride-1 lines in full batches ({16, 2, 1024}).
+  const Shape shapes[] = {
+      {4, 4, 4},    {8, 8, 8},   {16, 16, 16}, {32, 32, 32},  {64, 64, 64},
+      {4, 16, 8},   {2, 4, 8},   {1, 1, 32},   {1, 32, 1},    {32, 1, 1},
+      {2, 2, 2},    {8, 1, 4},   {1, 2, 64},   {16, 2, 1},    {1, 1, 1},
+      {2, 4, 256},  {256, 4, 4}, {4, 256, 2},  {1, 1024, 4},  {16, 8, 8},
+      {8, 16, 16},  {2, 8, 4},   {2, 8, 2},    {8, 8, 2},     {16, 16, 1},
+      {1024, 2, 8}, {2, 1024, 16}, {16, 2, 1024}};
+  const std::vector<Isa> isas = fft3_instances();
+  for (const Shape& s : shapes) {
+    for (const bool inverse : {false, true}) {
+      const std::vector<Complex> input =
+          oracle_input(s.n0 * s.n1 * s.n2, s.n0 + 3 * s.n1 + 7 * s.n2);
+      std::vector<Complex> want = input;
+      reference_fft3(want, s.n0, s.n1, s.n2, inverse);
+      for (const Isa isa : isas) {
+        for (const std::size_t threads : {1, 4}) {
+          parallel::set_thread_count(threads);
+          std::vector<Complex> got = input;
           fft3(isa, got, s.n0, s.n1, s.n2, inverse);
-          reference_fft3(want, s.n0, s.n1, s.n2, inverse);
           EXPECT_TRUE(same_bytes(got, want))
               << isa_name(isa) << " " << s.n0 << "x" << s.n1 << "x" << s.n2
               << " inverse=" << inverse << " threads=" << threads;
@@ -319,16 +374,17 @@ TEST(FftOracle, ThreeHundredRoundTripsStayOnTheReference) {
   // Rounding differences compound over repeated transforms: 300 forward +
   // inverse round trips must still match the reference bit for bit, on a
   // line and on a cube.
-  std::vector<Complex> line = oracle_input(64, 5);
-  std::vector<Complex> line_want = line;
-  for (int trip = 0; trip < 300; ++trip) {
-    for (const bool inverse : {false, true}) {
-      fft(line, inverse);
-      reference_fft_strided(line_want.data(), 64, 1, inverse);
-    }
-    ASSERT_TRUE(same_bytes(line, line_want)) << "line, trip " << trip;
-  }
   for (const Isa isa : fft3_instances()) {
+    std::vector<Complex> line = oracle_input(64, 5);
+    std::vector<Complex> line_want = line;
+    for (int trip = 0; trip < 300; ++trip) {
+      for (const bool inverse : {false, true}) {
+        fft3(isa, line, 1, 1, 64, inverse);
+        reference_fft_strided(line_want.data(), 64, 1, inverse);
+      }
+      ASSERT_TRUE(same_bytes(line, line_want))
+          << isa_name(isa) << " line, trip " << trip;
+    }
     std::vector<Complex> cube = oracle_input(8 * 8 * 8, 6);
     std::vector<Complex> cube_want = cube;
     for (int trip = 0; trip < 300; ++trip) {

@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "cosmo/cosmology.hpp"
+#include "math/fft.hpp"
 #include "parallel/pool.hpp"
 #include "ramses/amr.hpp"
 #include "ramses/loader.hpp"
@@ -349,6 +350,88 @@ TEST(Pm, CicAndForcesMatchPeriodicLookupBytes) {
                 << "forces " << name << " n=" << n << " axis=" << axis
                 << " " << math::isa_name(isa) << " threads=" << threads;
           }
+        }
+      }
+    }
+  }
+  parallel::set_thread_count(0);
+}
+
+// solve_poisson as it stood before it filled its field in one pass and
+// divided once per |k| class: a zeroed field, a copy, one division per
+// cell, then the real parts. The byte reference for the solve.
+math::Grid3<double> reference_poisson(math::Grid3<double> delta,
+                                      double rhs_factor) {
+  const std::size_t n = delta.n();
+  std::vector<math::Complex> field(n * n * n);
+  const double* din = delta.raw().data();
+  math::Complex* f = field.data();
+  parallel::parallel_for(0, field.size(), 8192,
+                         [=](std::size_t begin, std::size_t end) {
+                           for (std::size_t i = begin; i < end; ++i) {
+                             f[i] = math::Complex(din[i], 0.0);
+                           }
+                         });
+  math::fft3(field, n, false);
+  const double two_pi = 2.0 * M_PI;
+  std::vector<double> k1d(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    k1d[i] = two_pi * static_cast<double>(math::freq_index(i, n));
+  }
+  parallel::parallel_for(
+      0, n, 1, [&, f](std::size_t i_begin, std::size_t i_end) {
+        for (std::size_t i = i_begin; i < i_end; ++i) {
+          const double kx2 = k1d[i] * k1d[i];
+          for (std::size_t j = 0; j < n; ++j) {
+            const double kxy2 = kx2 + k1d[j] * k1d[j];
+            math::Complex* row = f + (i * n + j) * n;
+            for (std::size_t l = 0; l < n; ++l) {
+              const double k2 = kxy2 + k1d[l] * k1d[l];
+              row[l] *= k2 > 0.0 ? -rhs_factor / k2 : 0.0;
+            }
+          }
+        }
+      });
+  math::fft3(field, n, true);
+  double* pout = delta.raw().data();
+  parallel::parallel_for(0, field.size(), 8192,
+                         [=](std::size_t begin, std::size_t end) {
+                           for (std::size_t i = begin; i < end; ++i) {
+                             pout[i] = f[i].real();
+                           }
+                         });
+  return delta;
+}
+
+TEST(Pm, PoissonMatchesReferenceBytes) {
+  // Random overdensities with exact zeros of both signs mixed in, and a
+  // pure k = 0 field, on every mesh size from one cell to 64^3, with the
+  // campaign's factor 1.5 * Omega_m / a among the right-hand sides.
+  const double rhs_factors[] = {1.0, 3.7, 1.5 * 0.27 / 0.6};
+  for (const std::size_t n : {1, 2, 4, 8, 16, 32, 64}) {
+    Rng rng(40 + n);
+    math::Grid3<double> mixed(n);
+    for (std::size_t i = 0; i < mixed.size(); ++i) {
+      mixed.raw()[i] = i % 5 == 1 ? -0.0 : i % 5 == 3 ? 0.0 : rng.normal();
+    }
+    math::Grid3<double> zeros(n);
+    for (std::size_t i = 0; i < zeros.size(); ++i) {
+      zeros.raw()[i] = i % 2 == 0 ? -0.0 : 0.0;
+    }
+    const std::pair<const char*, math::Grid3<double>> inputs[] = {
+        {"mixed", mixed},
+        {"signed zeros", zeros},
+        {"k=0", math::Grid3<double>(n, 0.75)}};
+    for (const auto& [name, delta] : inputs) {
+      for (const double rhs : rhs_factors) {
+        parallel::set_thread_count(1);
+        const auto want = reference_poisson(delta, rhs);
+        for (const std::size_t threads : {1, 4}) {
+          parallel::set_thread_count(threads);
+          const auto got = solve_poisson(delta, rhs);
+          EXPECT_TRUE(same_bytes(got.raw(), want.raw()))
+              << name << " n=" << n << " rhs=" << rhs
+              << " threads=" << threads;
         }
       }
     }

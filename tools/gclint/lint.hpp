@@ -4,7 +4,7 @@
 // to break with one innocent call (`std::rand`, a wall-clock read in the
 // sim path, an unordered-container iteration feeding a hash). Full
 // libclang tooling is unavailable in the build image, so this linter works
-// on tokens and line-anchored regular expressions over comment- and
+// on tokens and hand-written line patterns over comment- and
 // string-stripped source. It is deliberately heuristic: rules aim for
 // zero false negatives on the patterns we care about and rely on the
 // suppression syntax below for the rare justified use.
