@@ -174,9 +174,9 @@ int run_parallel_sweep(const std::string& path) {
   std::vector<gc::bench::ParallelEntry> entries;
   bool deterministic = true;
 
-  // `isa` tags the rows whose timing runs the FFT or force-gather
-  // instances: fft3, solve_poisson, pm_step, grafic_2lpt and
-  // interpolate_forces.
+  // `isa` tags the rows whose timing runs the vector instances: fft3,
+  // solve_poisson, both cic_deposit rows, pm_step, grafic_2lpt,
+  // interpolate_forces and wrap_positions.
   const char* const isa = gc::math::isa_name(gc::math::host_isa());
   auto record = [&](const std::string& kernel, long n,
                     const std::vector<double>& ms, const char* row_isa = "") {
@@ -256,7 +256,7 @@ int run_parallel_sweep(const std::string& path) {
         deterministic &= same_bytes(reference, grid.raw());
       }
     }
-    record("cic_deposit", 64, ms);
+    record("cic_deposit", 64, ms, isa);
   }
 
   // Full PM step (deposit + Poisson + forces + kick/drift), 32^3 particles
@@ -430,6 +430,51 @@ int run_parallel_sweep(const std::string& path) {
     }
     record("interpolate_forces", static_cast<long>(last.size()), ms,
            isa);
+
+    // The CIC deposit of the same particles onto the 32^3 mesh: the
+    // evaluation's other particle pass.
+    std::vector<double> deposit_reference;
+    ms.clear();
+    for (const std::size_t t : thread_counts) {
+      gc::parallel::set_thread_count(t);
+      ms.push_back(time_ms(20, [&] {
+        benchmark::DoNotOptimize(gc::ramses::cic_deposit(last, params.pm_grid));
+      }));
+      const auto grid = gc::ramses::cic_deposit(last, params.pm_grid);
+      if (t == thread_counts.front()) {
+        deposit_reference = grid.raw();
+      } else {
+        deterministic &= same_bytes(deposit_reference, grid.raw());
+      }
+    }
+    record("cic_deposit", static_cast<long>(last.size()), ms, isa);
+
+    // The periodic wrap that ends each drift, on those particles moved a
+    // little across the box faces (the copy is outside the timing).
+    gc::ramses::ParticleSet moved = last;
+    for (std::size_t p = 0; p < moved.size(); ++p) {
+      moved.x[p] += 0.01;
+      moved.y[p] -= 0.01;
+    }
+    std::vector<double> wrap_reference;
+    ms.clear();
+    for (const std::size_t t : thread_counts) {
+      gc::parallel::set_thread_count(t);
+      double best = 1e300;
+      for (int r = 0; r < 20; ++r) {
+        gc::ramses::ParticleSet p = moved;
+        best = std::min(best, time_ms(1, [&] { p.wrap_positions(); }));
+      }
+      ms.push_back(best);
+      gc::ramses::ParticleSet p = moved;
+      p.wrap_positions();
+      if (t == thread_counts.front()) {
+        wrap_reference = p.x;
+      } else {
+        deterministic &= same_bytes(wrap_reference, p.x);
+      }
+    }
+    record("wrap_positions", static_cast<long>(moved.size()), ms, isa);
   }
 
   gc::parallel::set_thread_count(0);

@@ -46,6 +46,24 @@ for lib in math grafic ramses; do
 done
 echo "libgc_math.a, libgc_grafic.a, libgc_ramses.a: no vfmadd/vfmsub/vfnmadd/vfnmsub"
 
+step "no libm floor in the AVX-512 deposit and wrap"
+# The baseline x86-64 build has no rounding instruction, so the scalar CIC
+# deposit calls libm floor three times per particle. Its AVX-512F
+# instance and the wrap's (src/ramses/pm.cpp deposit_avx512,
+# src/ramses/particles.cpp wrap_avx512) floor by round-to-minus-infinity.
+# Fail if either symbol, or a lambda inside it (which does not inherit the
+# target), calls floor, or if either symbol is gone.
+objdump -dr -C build/src/libgc_ramses.a | awk '
+  /^[0-9a-f]+ </ { inst = ($0 ~ /::(deposit|wrap)_avx512\(/) }
+  /^[0-9a-f]+ <.*::deposit_avx512\(/ { deposit = 1 }
+  /^[0-9a-f]+ <.*::wrap_avx512\(/ { wrap = 1 }
+  inst && /R_X86_64_[A-Z0-9]+[[:space:]]+floor/ { print; bad = 1 }
+  END {
+    if (!deposit || !wrap) { print "deposit_avx512 or wrap_avx512 not found" > "/dev/stderr"; exit 1 }
+    if (bad) { print "an AVX-512 deposit or wrap instance calls floor" > "/dev/stderr"; exit 1 }
+  }'
+echo "libgc_ramses.a: deposit_avx512 and wrap_avx512 call no floor"
+
 step "no double-modulo index wrap outside math::wrap"
 # ((x % n) + n) % n costs two integer divisions per wrapped index. Every
 # periodic wrap in the numerics goes through math::wrap

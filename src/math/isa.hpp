@@ -1,10 +1,12 @@
 // The vector instruction set the numeric kernels run at.
 //
-// The FFT line kernel (math/fft.cpp) and the PM force interpolation
-// (ramses/pm.cpp) each have one instance per instruction set, built with
-// __attribute__((target(...))) in an otherwise baseline x86-64 build. The
-// CPU picks one once, at the first call; nothing else can select it. Every
-// instance computes the same bytes, so the choice moves only time.
+// The FFT line kernel (math/fft.cpp), the PM force interpolation and CIC
+// deposit (ramses/pm.cpp) and the periodic position wrap
+// (ramses/particles.cpp) each have one instance per instruction set,
+// built with __attribute__((target(...))) in an otherwise baseline x86-64
+// build. The CPU picks one once, at the first call; nothing else can
+// select it. Every instance computes the same bytes, so the choice moves
+// only time.
 #pragma once
 
 namespace gc::math {

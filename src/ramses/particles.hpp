@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/log.hpp"
+#include "math/isa.hpp"
 
 namespace gc::ramses {
 
@@ -62,8 +63,14 @@ struct ParticleSet {
     return m;
   }
 
-  /// Wraps all positions back into [0, 1).
+  /// Wraps all positions back into [0, 1): x - floor(x), and 0.0 where
+  /// that rounds up to 1.0. Runs the host_isa() instance.
   void wrap_positions();
+
+  /// The same wrap with the `isa` instance, which the host must support:
+  /// AVX-512F has a vector instance, SSE2 runs the scalar loop.
+  /// Every instance gives the same bytes.
+  void wrap_positions(math::Isa isa);
 
   /// Internal consistency: equal array lengths, positions in range.
   [[nodiscard]] bool valid() const;

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 
 #include "common/log.hpp"
 #include "math/fft.hpp"
@@ -34,14 +35,164 @@ std::array<long, N> wrapped_run(long first, long n) {
   return out;
 }
 
+/// What the CIC deposit reads: the particle positions and masses, and the
+/// n^3 mesh's side and mass normalization.
+struct Deposit {
+  const double* x;
+  const double* y;
+  const double* z;
+  const double* mass;
+  long n;
+  double nd;
+  double cell_mass_unit;  // delta normalization, n^3
+};
+
+/// The deposit of particles [begin, end) into mesh g, one at a time: the
+/// reference every instance matches, and the one that runs wherever the
+/// AVX-512 instance cannot. Cell-centred CIC: each particle shares its
+/// mass with the 8 nearest cell centres, corners in (di, dj, dk) order.
+void deposit_scalar(const Deposit& d, double* g, std::size_t begin,
+                    std::size_t end) {
+  const long n = d.n;
+  for (std::size_t p = begin; p < end; ++p) {
+    const double gx = d.x[p] * d.nd - 0.5;
+    const double gy = d.y[p] * d.nd - 0.5;
+    const double gz = d.z[p] * d.nd - 0.5;
+    const long i0 = static_cast<long>(std::floor(gx));
+    const long j0 = static_cast<long>(std::floor(gy));
+    const long k0 = static_cast<long>(std::floor(gz));
+    const double fx = gx - static_cast<double>(i0);
+    const double fy = gy - static_cast<double>(j0);
+    const double fz = gz - static_cast<double>(k0);
+    const double m = d.mass[p] * d.cell_mass_unit;
+    const auto wi = wrapped_run<2>(i0, n);
+    const auto wj = wrapped_run<2>(j0, n);
+    const auto wk = wrapped_run<2>(k0, n);
+    for (int di = 0; di <= 1; ++di) {
+      const double wx = di ? fx : 1.0 - fx;
+      for (int dj = 0; dj <= 1; ++dj) {
+        const double wy = dj ? fy : 1.0 - fy;
+        for (int dk = 0; dk <= 1; ++dk) {
+          const double wz = dk ? fz : 1.0 - fz;
+          g[(wi[di] * n + wj[dj]) * n + wk[dk]] += m * wx * wy * wz;
+        }
+      }
+    }
+  }
+}
+
+/// The scalar deposit's arithmetic on eight particles at once, one per
+/// 64-bit lane: floor as round-to-minus-infinity, the periodic wrap as a
+/// masked add or subtract of n (math::wrap on [-n, 2n)), the flat index
+/// i * n^2 + j * n + k from 32x32 -> 64-bit multiplies, and the weights
+/// ((m * wx) * wy) * wz. The block's 64 adds then hit the mesh one at a
+/// time, particle by particle and corner by corner as the scalar loop
+/// makes them, so every cell sums the same terms in the same order. A
+/// block with a corner index outside [-n, 2n), a position that is not
+/// finite, and the tail of the range run the scalar loop; so does every
+/// particle when n * n does not fit the 32-bit multiplies.
+__attribute__((target("avx512f"))) void deposit_avx512(const Deposit& d,
+                                                       double* g,
+                                                       std::size_t begin,
+                                                       std::size_t end) {
+  constexpr std::size_t kBlock = 8;
+  const long n = d.n;
+  if (n >= 65536) {
+    deposit_scalar(d, g, begin, end);
+    return;
+  }
+  const __m512d zero = _mm512_setzero_pd();
+  const __m512d one = _mm512_set1_pd(1.0);
+  const __m512d half = _mm512_set1_pd(0.5);
+  const __m512d nd = _mm512_set1_pd(d.nd);
+  const __m512d unit = _mm512_set1_pd(d.cell_mass_unit);
+  // i0 >= -n and i0 + 1 < 2n.
+  const __m512d lowest = _mm512_set1_pd(static_cast<double>(-n));
+  const __m512d highest = _mm512_set1_pd(static_cast<double>(2 * n - 2));
+  const __m512i vn = _mm512_set1_epi64(n);
+  const __m512i vnn = _mm512_set1_epi64(n * n);
+  const __m512i izero = _mm512_setzero_si512();
+  // Corner c = 4 di + 2 dj + dk of lane l: its flat index and its term.
+  alignas(64) std::int64_t cell_of[8][kBlock];
+  alignas(64) double term[8][kBlock];
+  std::size_t p = begin;
+  for (; p + kBlock <= end; p += kBlock) {
+    const double* pos[3] = {d.x + p, d.y + p, d.z + p};
+    __mmask8 in_range = 0xFF;
+    __m512d cell[3];
+    __m512d below[3];
+    for (int a = 0; a < 3; ++a) {
+      cell[a] =
+          _mm512_sub_pd(_mm512_mul_pd(_mm512_loadu_pd(pos[a]), nd), half);
+      below[a] = _mm512_mask_roundscale_pd(
+          zero, 0xFF, cell[a], _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+      in_range &= _mm512_cmp_pd_mask(below[a], lowest, _CMP_GE_OQ) &
+                  _mm512_cmp_pd_mask(below[a], highest, _CMP_LE_OQ);
+    }
+    if (in_range != 0xFF) {
+      deposit_scalar(d, g, p, p + kBlock);
+      continue;
+    }
+    // Per axis: the weights of its two corners and their wrapped indices.
+    __m512d weight[3][2];
+    __m512i index[3][2];
+    for (int a = 0; a < 3; ++a) {
+      // below[a] holds integers in [-65536, 131072), so the fraction is
+      // the scalar loop's x - double(long(floor(x))).
+      weight[a][1] = _mm512_sub_pd(cell[a], below[a]);
+      weight[a][0] = _mm512_sub_pd(one, weight[a][1]);
+      const __m256i i0 = _mm512_mask_cvtpd_epi32(_mm256_setzero_si256(),
+                                                 0xFF, below[a]);
+      const __m512i i0_64 = _mm512_mask_cvtepi32_epi64(izero, 0xFF, i0);
+      for (int o = 0; o < 2; ++o) {
+        __m512i i = _mm512_add_epi64(i0_64, _mm512_set1_epi64(o));
+        i = _mm512_mask_add_epi64(i, _mm512_cmplt_epi64_mask(i, izero), i,
+                                  vn);
+        i = _mm512_mask_sub_epi64(i, _mm512_cmpge_epi64_mask(i, vn), i, vn);
+        index[a][o] = i;
+      }
+    }
+    const __m512d m = _mm512_mul_pd(_mm512_loadu_pd(d.mass + p), unit);
+    for (int di = 0; di <= 1; ++di) {
+      const __m512i ii = _mm512_maskz_mul_epu32(0xFF, index[0][di], vnn);
+      const __m512d mx = _mm512_mul_pd(m, weight[0][di]);
+      for (int dj = 0; dj <= 1; ++dj) {
+        const __m512i ij = _mm512_add_epi64(
+            ii, _mm512_maskz_mul_epu32(0xFF, index[1][dj], vn));
+        const __m512d mxy = _mm512_mul_pd(mx, weight[1][dj]);
+        for (int dk = 0; dk <= 1; ++dk) {
+          const int c = 4 * di + 2 * dj + dk;
+          _mm512_store_si512(cell_of[c], _mm512_add_epi64(ij, index[2][dk]));
+          _mm512_store_pd(term[c], _mm512_mul_pd(mxy, weight[2][dk]));
+        }
+      }
+    }
+    for (std::size_t l = 0; l < kBlock; ++l) {
+      for (int c = 0; c < 8; ++c) g[cell_of[c][l]] += term[c][l];
+    }
+  }
+  deposit_scalar(d, g, p, end);
+}
+
 }  // namespace
 
 math::Grid3<double> cic_deposit(const ParticleSet& particles, int n) {
+  return cic_deposit(math::host_isa(), particles, n);
+}
+
+math::Grid3<double> cic_deposit(math::Isa isa, const ParticleSet& particles,
+                                int n) {
   GC_CHECK(n > 0);
+  GC_CHECK_MSG(math::host_supports(isa),
+               "cic_deposit: the host cannot run this ISA");
   const auto nu = static_cast<std::size_t>(n);
   math::Grid3<double> delta(nu, 0.0);
   const double nd = static_cast<double>(n);
-  const double cell_mass_unit = nd * nd * nd;  // delta normalization
+  const Deposit d{particles.x.data(), particles.y.data(),
+                  particles.z.data(), particles.mass.data(),
+                  static_cast<long>(n), nd, nd * nd * nd};
+  void (*deposit)(const Deposit&, double*, std::size_t, std::size_t) =
+      isa == math::Isa::kAvx512 ? deposit_avx512 : deposit_scalar;
 
   const std::size_t npart = particles.size();
   const std::size_t nchunks =
@@ -51,48 +202,15 @@ math::Grid3<double> cic_deposit(const ParticleSet& particles, int n) {
   // reduce the grids cell-by-cell in ascending chunk order. Within a chunk
   // particles deposit in index order, so the full floating-point reduction
   // tree is a function of the particle count alone.
-  const auto nl = static_cast<long>(n);
-  auto deposit_range = [&](math::Grid3<double>& grid, std::size_t begin,
-                           std::size_t end) {
-    double* g = grid.raw().data();
-    for (std::size_t p = begin; p < end; ++p) {
-      // Cell-centred CIC: the particle shares mass with the 8 nearest cell
-      // centres.
-      const double gx = particles.x[p] * nd - 0.5;
-      const double gy = particles.y[p] * nd - 0.5;
-      const double gz = particles.z[p] * nd - 0.5;
-      const long i0 = static_cast<long>(std::floor(gx));
-      const long j0 = static_cast<long>(std::floor(gy));
-      const long k0 = static_cast<long>(std::floor(gz));
-      const double fx = gx - static_cast<double>(i0);
-      const double fy = gy - static_cast<double>(j0);
-      const double fz = gz - static_cast<double>(k0);
-      const double m = particles.mass[p] * cell_mass_unit;
-      const auto wi = wrapped_run<2>(i0, nl);
-      const auto wj = wrapped_run<2>(j0, nl);
-      const auto wk = wrapped_run<2>(k0, nl);
-      for (int di = 0; di <= 1; ++di) {
-        const double wx = di ? fx : 1.0 - fx;
-        for (int dj = 0; dj <= 1; ++dj) {
-          const double wy = dj ? fy : 1.0 - fy;
-          for (int dk = 0; dk <= 1; ++dk) {
-            const double wz = dk ? fz : 1.0 - fz;
-            g[(wi[di] * nl + wj[dj]) * nl + wk[dk]] += m * wx * wy * wz;
-          }
-        }
-      }
-    }
-  };
-
   if (nchunks <= 1) {
-    deposit_range(delta, 0, npart);
+    deposit(d, delta.raw().data(), 0, npart);
   } else {
     std::vector<math::Grid3<double>> partials(nchunks,
                                               math::Grid3<double>(nu, 0.0));
     parallel::for_each_chunk(
         0, npart, kDepositGrain,
         [&](std::size_t c, std::size_t begin, std::size_t end) {
-          deposit_range(partials[c], begin, end);
+          deposit(d, partials[c].raw().data(), begin, end);
         });
     // Cell-parallel, chunk-ordered reduction: every cell sums its chunk
     // contributions in the same (ascending) order at any thread count.

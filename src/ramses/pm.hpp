@@ -29,8 +29,14 @@ namespace gc::ramses {
 
 /// CIC-deposits particle masses onto an n^3 periodic grid; the result is
 /// the overdensity field delta = rho/rho_mean - 1 when the set covers the
-/// whole box with total mass ~1.
+/// whole box with total mass ~1. Runs the host_isa() instance.
 math::Grid3<double> cic_deposit(const ParticleSet& particles, int n);
+
+/// The same deposit with the `isa` instance, which the host must support:
+/// AVX-512F has a vector instance, SSE2 runs the scalar loop.
+/// Every instance gives the same bytes.
+math::Grid3<double> cic_deposit(math::Isa isa, const ParticleSet& particles,
+                                int n);
 
 /// Solves lap(phi) = rhs_factor * delta spectrally; returns phi in
 /// delta's storage (pass an rvalue to spare the copy).

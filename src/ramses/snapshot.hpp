@@ -4,14 +4,10 @@
 // time steps (or expansion factor), RAMSES outputs the current state of
 // the universe [...] in Fortran binary files. These files need
 // post-processing with GALICS softwares" (Section 3). Snapshots here
-// carry the full particle state at an expansion factor, in memory and/or
-// as Fortran-record files the halo finder consumes.
+// carry the full particle state at an expansion factor, in memory, where
+// the halo finder reads them.
 #pragma once
 
-#include <string>
-#include <vector>
-
-#include "common/status.hpp"
 #include "cosmo/cosmology.hpp"
 #include "ramses/particles.hpp"
 
@@ -23,21 +19,5 @@ struct Snapshot {
   cosmo::Params params;
   ParticleSet particles;
 };
-
-struct SnapshotHeader {
-  std::int32_t version;
-  std::int32_t reserved;
-  std::uint64_t npart;
-  double aexp;
-  double box_mpc;
-  double omega_m, omega_l, h;
-};
-
-/// Writes `snapshot` as output_XXXXX.bin in `dir` (RAMSES-style numbered
-/// outputs); returns the file path.
-gc::Result<std::string> write_snapshot(const std::string& dir, int number,
-                                       const Snapshot& snapshot);
-
-gc::Result<Snapshot> read_snapshot(const std::string& path);
 
 }  // namespace gc::ramses

@@ -1,17 +1,16 @@
 // Tests for the RAMSES-style N-body stack: PM gravity, leapfrog, AMR,
-// domain decomposition, snapshots, driver.
+// snapshots and run_simulation.
 #include <gtest/gtest.h>
-
-#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "cosmo/cosmology.hpp"
 #include "math/fft.hpp"
@@ -40,18 +39,93 @@ ParticleSet uniform_lattice(int n) {
   return particles;
 }
 
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+/// Every instance of `kernel` this host can run (SSE2 runs the scalar
+/// loop, AVX-512F its vector instance). Prints which run and which the
+/// host cannot run, so a missing instance never passes unnoticed.
+std::vector<math::Isa> instances(const char* kernel) {
+  std::vector<math::Isa> isas;
+  std::string ran;
+  std::string not_run;
+  for (const math::Isa isa : {math::Isa::kSse2, math::Isa::kAvx512}) {
+    if (math::host_supports(isa)) {
+      isas.push_back(isa);
+      ran += std::string(" ") + math::isa_name(isa);
+    } else {
+      not_run += std::string(" ") + math::isa_name(isa);
+    }
+  }
+  std::printf("[ INSTANCE ] %s ran:%s; not supported by this host:%s\n",
+              kernel, ran.c_str(),
+              not_run.empty() ? " none" : not_run.c_str());
+  return isas;
+}
+
 // ---------- particles ----------
 
+// wrap01 as the scalar loop computes it: the byte reference for every
+// wrap_positions instance.
+double reference_wrap01(double v) {
+  v -= std::floor(v);
+  if (v >= 1.0) v = 0.0;
+  return v;
+}
+
 TEST(Particles, WrapPositions) {
+  // -1e-17 - floor(-1e-17) rounds to 1.0 and must come back as 0.0;
+  // -0.0, NaN and +-inf must keep the scalar wrap's bits too. x, y and z
+  // take the values from offsets 0, 3 and 7, so each value sits among the
+  // first eight entries of some axis: in a vector block from length 8 on,
+  // in the scalar tail below it. Lengths 1 to 17 run every tail length.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> values = {
+      -0.0, -1e-17, 1.0, std::nextafter(1.0, 0.0), -3.25, 1e15 + 0.5,
+      inf,  -inf,   std::numeric_limits<double>::quiet_NaN(), 1.25, -0.25};
+  const auto value = [&values](std::size_t i) {
+    return values[i % values.size()];
+  };
+  const std::vector<math::Isa> isas = instances("wrap_positions");
+  for (std::size_t length = 1; length <= 17; ++length) {
+    ParticleSet particles;
+    for (std::size_t i = 0; i < length; ++i) {
+      particles.push_back(value(i), value(i + 3), value(i + 7), 0, 0, 0, 1.0,
+                          i + 1, 0);
+    }
+    ParticleSet want = particles;
+    for (auto* axis : {&want.x, &want.y, &want.z}) {
+      for (double& v : *axis) v = reference_wrap01(v);
+    }
+    for (const std::size_t threads : {1, 4}) {
+      parallel::set_thread_count(threads);
+      for (const math::Isa isa : isas) {
+        ParticleSet got = particles;
+        got.wrap_positions(isa);
+        EXPECT_TRUE(same_bytes(got.x, want.x) && same_bytes(got.y, want.y) &&
+                    same_bytes(got.z, want.z))
+            << "length=" << length << " " << math::isa_name(isa)
+            << " threads=" << threads;
+      }
+    }
+  }
+  parallel::set_thread_count(0);
+
   ParticleSet particles;
-  particles.push_back(0.5, 0.5, 0.5, 0, 0, 0, 1.0, 1, 0);
-  particles.x[0] = 1.25;
-  particles.y[0] = -0.25;
-  particles.z[0] = 3.0;
+  particles.push_back(1.25, -0.25, 3.0, 0, 0, 0, 1.0, 1, 0);
+  particles.push_back(-1e-17, -0.0, std::nextafter(1.0, 0.0), 0, 0, 0, 1.0,
+                      2, 0);
   particles.wrap_positions();
   EXPECT_DOUBLE_EQ(particles.x[0], 0.25);
   EXPECT_DOUBLE_EQ(particles.y[0], 0.75);
   EXPECT_DOUBLE_EQ(particles.z[0], 0.0);
+  EXPECT_FALSE(std::signbit(particles.x[1]));  // +0.0, not 1.0 or -0.0
+  EXPECT_EQ(particles.x[1], 0.0);
+  EXPECT_FALSE(std::signbit(particles.y[1]));
+  EXPECT_EQ(particles.z[1], std::nextafter(1.0, 0.0));
   EXPECT_TRUE(particles.valid());
 }
 
@@ -169,8 +243,12 @@ std::size_t modulo_index(std::size_t size, long i, long j, long k) {
   return static_cast<std::size_t>((w(i) * n + w(j)) * n + w(k));
 }
 
+// The deposit scatters each run of 16384 particles into a grid of its own
+// and sums those grids in run order, so the reference does too.
 math::Grid3<double> reference_cic(const ParticleSet& particles, int n) {
+  constexpr std::size_t kChunk = 16384;
   math::Grid3<double> delta(static_cast<std::size_t>(n), 0.0);
+  math::Grid3<double> chunk = delta;
   const double nd = static_cast<double>(n);
   for (std::size_t p = 0; p < particles.size(); ++p) {
     const double gx = particles.x[p] * nd - 0.5;
@@ -189,10 +267,16 @@ math::Grid3<double> reference_cic(const ParticleSet& particles, int n) {
         const double wy = dj ? fy : 1.0 - fy;
         for (int dk = 0; dk <= 1; ++dk) {
           const double wz = dk ? fz : 1.0 - fz;
-          delta.raw()[modulo_index(delta.n(), i0 + di, j0 + dj, k0 + dk)] +=
+          chunk.raw()[modulo_index(chunk.n(), i0 + di, j0 + dj, k0 + dk)] +=
               m * wx * wy * wz;
         }
       }
+    }
+    if ((p + 1) % kChunk == 0 || p + 1 == particles.size()) {
+      for (std::size_t c = 0; c < delta.size(); ++c) {
+        delta.raw()[c] += chunk.raw()[c];
+      }
+      chunk = math::Grid3<double>(delta.n(), 0.0);
     }
   }
   for (double& v : delta.raw()) v -= 1.0;
@@ -238,35 +322,6 @@ std::array<std::vector<double>, 3> reference_forces(
   return acc;
 }
 
-template <typename T>
-bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
-}
-
-/// Every interpolate_forces instance this host can run (SSE2 runs the
-/// scalar loop, AVX-512F its vector instance). Prints which run and
-/// which the host cannot run, so a missing instance never passes
-/// unnoticed.
-std::vector<math::Isa> force_instances() {
-  std::vector<math::Isa> isas;
-  std::string ran;
-  std::string not_run;
-  for (const math::Isa isa : {math::Isa::kSse2, math::Isa::kAvx512}) {
-    if (math::host_supports(isa)) {
-      isas.push_back(isa);
-      ran += std::string(" ") + math::isa_name(isa);
-    } else {
-      not_run += std::string(" ") + math::isa_name(isa);
-    }
-  }
-  std::printf(
-      "[ INSTANCE ] interpolate_forces ran:%s; not supported by this "
-      "host:%s\n",
-      ran.c_str(), not_run.empty() ? " none" : not_run.c_str());
-  return isas;
-}
-
 /// A potential with random values: the gather's bytes depend only on the
 /// mesh values, and a random mesh exists for any n.
 math::Grid3<double> random_phi(int n, std::uint64_t seed) {
@@ -298,7 +353,7 @@ TEST(Pm, CicAndForcesMatchPeriodicLookupBytes) {
   // first CIC corner at i0 = -1 and x = nextafter(1, 0) at i0 = n - 1, so
   // the gather reaches -2 and n + 1, outside [-n, 2n) at n = 1. A few
   // particles outside the box reach past [-n, 2n) at every n, which the
-  // AVX-512 instance leaves to the scalar loop block by block.
+  // AVX-512 instances leave to the scalar loop block by block.
   Rng rng(8);
   ParticleSet particles;
   const double edges[] = {0.0,  1e-9, 0.01, 0.5, 0.99, 1.0 - 1e-12,
@@ -317,8 +372,10 @@ TEST(Pm, CicAndForcesMatchPeriodicLookupBytes) {
     particles.push_back(rng.uniform(), rng.uniform(), rng.uniform(), 0, 0, 0,
                         rng.uniform(0.5, 2.0) / 3000.0, id++, 0);
   }
-  // The force gather also on 1 to 17 particles (no full block of eight,
-  // full blocks with every tail length) and on a clustered zoom2 set.
+  // Both kernels also on 1 to 17 particles (no full block of eight, full
+  // blocks with every tail length), on a clustered zoom2 set, and on more
+  // than one 16384-particle deposit chunk, so the deposit's private grids
+  // and their chunk-ordered reduction run.
   std::vector<std::pair<std::string, ParticleSet>> sets;
   sets.emplace_back("box edges + random", particles);
   for (std::size_t count = 1; count <= 17; ++count) {
@@ -331,18 +388,29 @@ TEST(Pm, CicAndForcesMatchPeriodicLookupBytes) {
   }
   sets.emplace_back("zoom2", zoom2_particles());
   ASSERT_EQ(sets.back().second.size(), 11440u);
+  ParticleSet chunked = particles;
+  while (chunked.size() < 40000) {
+    chunked.push_back(rng.uniform(), rng.uniform(), rng.uniform(), 0, 0, 0,
+                      rng.uniform(0.5, 2.0) / 40000.0, id++, 0);
+  }
+  sets.emplace_back("three deposit chunks", chunked);
 
-  const std::vector<math::Isa> isas = force_instances();
+  const std::vector<math::Isa> deposit_isas = instances("cic_deposit");
+  const std::vector<math::Isa> force_isas = instances("interpolate_forces");
   for (const int n : {1, 2, 3, 4, 16, 32}) {
-    const auto delta = cic_deposit(particles, n);
-    EXPECT_TRUE(same_bytes(delta.raw(), reference_cic(particles, n).raw()))
-        << "cic n=" << n;
     const auto phi = random_phi(n, 100 + static_cast<std::uint64_t>(n));
     for (const auto& [name, set] : sets) {
+      const auto want_delta = reference_cic(set, n);
       const auto want = reference_forces(phi, set);
       for (const std::size_t threads : {1, 4}) {
         parallel::set_thread_count(threads);
-        for (const math::Isa isa : isas) {
+        for (const math::Isa isa : deposit_isas) {
+          EXPECT_TRUE(
+              same_bytes(cic_deposit(isa, set, n).raw(), want_delta.raw()))
+              << "cic " << name << " n=" << n << " " << math::isa_name(isa)
+              << " threads=" << threads;
+        }
+        for (const math::Isa isa : force_isas) {
           const auto acc = interpolate_forces(isa, phi, set);
           for (int axis = 0; axis < 3; ++axis) {
             const auto a = static_cast<std::size_t>(axis);
@@ -656,37 +724,6 @@ TEST(Amr, CellsPerLevelSums) {
   const std::size_t total =
       std::accumulate(per_level.begin(), per_level.end(), std::size_t{0});
   EXPECT_EQ(total, tree.cells().size());
-}
-
-// ---------- snapshots ----------
-
-TEST(Snapshot, WriteReadRoundtrip) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("gc_snap_" + std::to_string(::getpid())))
-          .string();
-  Snapshot snap;
-  snap.aexp = 0.5;
-  snap.box_mpc = 100.0;
-  snap.particles = uniform_lattice(4);
-  snap.particles.px[0] = 0.125;
-
-  auto path = write_snapshot(dir, 3, snap);
-  ASSERT_TRUE(path.is_ok());
-  EXPECT_NE(path.value().find("output_00003.bin"), std::string::npos);
-
-  auto back = read_snapshot(path.value());
-  ASSERT_TRUE(back.is_ok());
-  EXPECT_DOUBLE_EQ(back.value().aexp, 0.5);
-  EXPECT_DOUBLE_EQ(back.value().box_mpc, 100.0);
-  EXPECT_EQ(back.value().particles.size(), 64u);
-  EXPECT_DOUBLE_EQ(back.value().particles.px[0], 0.125);
-  EXPECT_EQ(back.value().particles.id[63], 64u);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(Snapshot, ReadMissingFails) {
-  EXPECT_FALSE(read_snapshot("/no/such/output_00001.bin").is_ok());
 }
 
 // ---------- run params / driver ----------
