@@ -12,6 +12,9 @@
 //   p50/p99    — end-to-end latency quantiles from the request journal.
 //   events/s   — DES events per host second (engine throughput).
 //
+// state_hash (per run, in the JSON) also covers virtual timestamps and the
+// chosen SEDs, which the science digest does not see.
+//
 // The science digest must be identical across the MA sweep at each client
 // count (federation changes where requests run, never what they compute);
 // the bench fails otherwise, and fails on any failed call.
@@ -145,6 +148,9 @@ int main(int argc, char** argv) {
     char digest_buf[24];
     std::snprintf(digest_buf, sizeof digest_buf, "%016llx",
                   static_cast<unsigned long long>(r.report.science_digest));
+    char state_buf[24];
+    std::snprintf(state_buf, sizeof state_buf, "%016llx",
+                  static_cast<unsigned long long>(r.report.state_hash));
     json << "    {\"mas\": " << r.mas << ", \"clients\": " << r.clients
          << ", \"requests\": " << r.report.arrivals
          << ", \"ok\": " << r.report.ok << ", \"failed\": " << r.report.failed
@@ -160,7 +166,8 @@ int main(int argc, char** argv) {
          << ", \"makespan_s\": " << r.report.makespan_s
          << ", \"peer_forwards\": " << r.report.peer.forwards
          << ", \"peer_replies\": " << r.report.peer.replies
-         << ", \"science_digest\": \"" << digest_buf << "\"}"
+         << ", \"science_digest\": \"" << digest_buf
+         << "\", \"state_hash\": \"" << state_buf << "\"}"
          << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";

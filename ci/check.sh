@@ -258,12 +258,18 @@ assert len({r["science_digest"] for r in runs}) == 1, \
 # every MA count alike would keep the digests equal to each other.
 assert runs[0]["science_digest"] == "1d18977e06011158", \
     f'serving science digest moved: {runs[0]["science_digest"]}'
+# The digest sees only what each call computed. The 1-MA state hash also
+# covers every call's virtual timestamps and chosen SED, so a change to
+# discovery timing or choice (a CPU charge, a tie order) fails here.
+assert runs[0]["mas"] == 1 and runs[0]["state_hash"] == "71fd5d1948b39379", \
+    f'serving state hash moved: {runs[0]["state_hash"]}'
 fed = [r for r in runs if r["mas"] > 1]
 assert fed and all(r["peer_forwards"] > 0 for r in fed), \
     "federated run never exercised peer forwarding"
 print(f"{len(runs)} serving runs, 0 failed, digest "
       f"{runs[0]['science_digest']} across mas="
-      f"{sorted(r['mas'] for r in runs)}")
+      f"{sorted(r['mas'] for r in runs)}, 1-MA state hash "
+      f"{runs[0]['state_hash']}")
 PY
 # The campaign itself must also be MA-count-invariant: the paper's 22
 # sub-simulation experiment split across a 2-MA federation has to land on

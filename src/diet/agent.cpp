@@ -631,9 +631,10 @@ void Agent::start_collect(std::uint64_t key, Pending pending,
 }
 
 void Agent::handle_candidates(const net::Envelope& envelope) {
-  CandidatesMsg msg = CandidatesMsg::decode(envelope.payload);
-  accumulate_candidates(msg.request_key, std::move(msg.candidates),
-                        envelope.from);
+  net::Reader r(envelope.payload);
+  CandidatesMsg header;
+  header.read_header(r);
+  accumulate_candidates(header.request_key, r, envelope.from);
 }
 
 void Agent::handle_peer_collect(const net::Envelope& envelope) {
@@ -666,13 +667,13 @@ void Agent::handle_peer_collect(const net::Envelope& envelope) {
 }
 
 void Agent::handle_peer_candidates(const net::Envelope& envelope) {
-  PeerCandidatesMsg msg = PeerCandidatesMsg::decode(envelope.payload);
-  accumulate_candidates(msg.request_key, std::move(msg.candidates),
-                        envelope.from);
+  net::Reader r(envelope.payload);
+  PeerCandidatesMsg header;
+  header.read_header(r);
+  accumulate_candidates(header.request_key, r, envelope.from);
 }
 
-void Agent::accumulate_candidates(std::uint64_t key,
-                                  std::vector<sched::Candidate> candidates,
+void Agent::accumulate_candidates(std::uint64_t key, net::Reader& list,
                                   net::Endpoint from) {
   auto it = pending_.find(key);
   if (it == pending_.end()) return;  // late answer after timeout
@@ -684,12 +685,16 @@ void Agent::accumulate_candidates(std::uint64_t key,
   if (at != pending.answered.end() && *at == from) return;
   pending.answered.insert(at, from);
   pending.received += 1;
-  // Unmarshalling one reply (and its candidate list) is exclusive CPU.
-  charge_cpu(tuning_.per_message_cost *
-             static_cast<double>(1 + candidates.size()));
-  for (auto& candidate : candidates) {
-    pending.candidates.push_back(std::move(candidate));
+  // The list decodes straight into the request's. Children of one
+  // fan-out answer with lists of like length, so the first answer sizes
+  // it for all of them.
+  const std::size_t count =
+      sched::append_candidates(list, pending.candidates);
+  if (pending.received == 1) {
+    pending.candidates.reserve(pending.expected * count);
   }
+  // Unmarshalling one reply (and its candidate list) is exclusive CPU.
+  charge_cpu(tuning_.per_message_cost * static_cast<double>(1 + count));
   if (pending.received >= pending.expected && !pending.finalizing) {
     pending.finalizing = true;
     process_for(noisy(tuning_.processing_delay) +
@@ -792,17 +797,11 @@ void Agent::finalize(std::uint64_t key) {
     return;
   }
 
-  // LA: forward the (sorted, possibly truncated) list to the parent.
-  if (tuning_.forward_limit > 0 &&
-      pending.candidates.size() > tuning_.forward_limit) {
-    pending.candidates.resize(tuning_.forward_limit);
-  }
-  CandidatesMsg up;
-  up.request_key = key;
-  up.candidates = std::move(pending.candidates);
+  // LA: forward the sorted list to the parent.
   obs::Tracer::instance().end_span(pending.span, env()->now());
   env()->send(net::Envelope{endpoint(), pending.reply_to, kCandidates,
-                            up.encode(), 0, pending.trace_id});
+                            CandidatesMsg::encode(key, pending.candidates),
+                            0, pending.trace_id});
 }
 
 void Agent::note_timeouts(const Pending& pending) {

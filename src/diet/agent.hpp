@@ -47,8 +47,6 @@ struct AgentTuning {
   /// Evict a child after this many *consecutive* collect timeouts, so a
   /// dead SED stops slowing every request down. 0 disables eviction.
   int max_child_timeouts = 2;
-  /// LA only: cap on candidates forwarded to the parent (0 = all).
-  std::size_t forward_limit = 0;
   /// Period of liveness beacons this agent (LA) sends to its parent;
   /// 0 disables them (the default — no extra traffic in fault-free runs).
   double heartbeat_period = 0.0;
@@ -240,10 +238,10 @@ class Agent final : public net::Actor {
   /// connect_peer, when a heartbeat period is configured).
   void arm_peer_beat();
   void announce_to_peers();
-  /// Shared tail of handle_candidates / handle_peer_candidates: merge one
-  /// answer into the pending collect and finalize when all arrived.
-  void accumulate_candidates(std::uint64_t key,
-                             std::vector<sched::Candidate> candidates,
+  /// Shared tail of handle_candidates / handle_peer_candidates: unless
+  /// the answer is late or a duplicate, decode its candidate list (`list`
+  /// sits at it) into the pending collect, and finalize when all arrived.
+  void accumulate_candidates(std::uint64_t key, net::Reader& list,
                              net::Endpoint from);
 
   void start_collect(std::uint64_t key, Pending pending,

@@ -77,6 +77,9 @@ struct ArgDesc {
     return type == other.type && base == other.base;
   }
 
+  /// Serialized size: three one-byte enums, rows and cols.
+  static constexpr std::size_t kWireBytes = 3 + 8 + 8;
+
   void serialize(net::Writer& w) const;
   static ArgDesc deserialize(net::Reader& r);
 };

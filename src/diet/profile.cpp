@@ -43,7 +43,12 @@ ProfileDesc ProfileDesc::deserialize(net::Reader& r) {
   d.last_inout_ = r.i32();
   d.last_out_ = r.i32();
   if (!r.ok() || !d.valid()) return ProfileDesc();
-  d.args_.resize(static_cast<std::size_t>(d.arg_count()));
+  // A marker the remaining bytes cannot back is corrupt: sizing args_
+  // from it alone could ask for billions of descriptors (and arg_count()
+  // overflows at last_out = INT32_MAX).
+  const std::size_t count = static_cast<std::size_t>(d.last_out_) + 1;
+  if (!r.need(ArgDesc::kWireBytes * count)) return ProfileDesc();
+  d.args_.resize(count);
   for (auto& a : d.args_) a = ArgDesc::deserialize(r);
   return d;
 }
@@ -82,14 +87,6 @@ bool Profile::inputs_complete() const {
 std::int64_t Profile::in_bytes() const {
   std::int64_t total = 0;
   for (int i = 0; i <= last_inout_; ++i) total += arg(i).wire_bytes();
-  return total;
-}
-
-std::int64_t Profile::out_bytes() const {
-  std::int64_t total = 0;
-  for (int i = last_in_ + 1; i < arg_count(); ++i) {
-    total += arg(i).wire_bytes();
-  }
   return total;
 }
 

@@ -52,6 +52,11 @@ class ProfileDesc {
   /// Service-matching: same path, same markers, compatible arg types.
   [[nodiscard]] bool matches(const ProfileDesc& other) const;
 
+  /// Serialized size: path, three markers and the argument descriptors.
+  [[nodiscard]] std::size_t wire_size() const {
+    return 4 + path_.size() + 3 * 4 + ArgDesc::kWireBytes * args_.size();
+  }
+
   void serialize(net::Writer& w) const;
   static ProfileDesc deserialize(net::Reader& r);
 
@@ -97,8 +102,6 @@ class Profile {
 
   /// Wire volume of the request (IN + INOUT values).
   [[nodiscard]] std::int64_t in_bytes() const;
-  /// Wire volume of the response (INOUT + OUT values).
-  [[nodiscard]] std::int64_t out_bytes() const;
 
   /// File-argument bulk of the request / response. These bytes are not in
   /// the serialized payload (files travel out-of-band); the transport

@@ -6,17 +6,34 @@ namespace {
 
 net::Bytes finish(net::Writer& w) { return w.take(); }
 
-// Dep lists are trailing-optional: written only when non-empty, decoded
-// only when bytes remain. A message without persistent inputs therefore
-// encodes exactly as it did before the data-management subsystem existed,
-// which keeps fault-free volatile runs byte-identical.
-void encode_deps(net::Writer& w, const std::vector<DataDep>& deps) {
-  if (deps.empty()) return;
+/// A dep list's count and entries (a federated collect writes them even
+/// when empty; see RequestCollectMsg::encode).
+void write_deps(net::Writer& w, const std::vector<DataDep>& deps) {
   w.u32(static_cast<std::uint32_t>(deps.size()));
   for (const auto& dep : deps) {
     w.str(dep.data_id);
     w.i64(dep.bytes);
   }
+}
+
+/// Bytes write_deps writes.
+std::size_t deps_size(const std::vector<DataDep>& deps) {
+  std::size_t bytes = 4;
+  for (const auto& dep : deps) bytes += 4 + dep.data_id.size() + 8;
+  return bytes;
+}
+
+// Dep lists are trailing-optional: written only when non-empty, decoded
+// only when bytes remain. A message without persistent inputs therefore
+// encodes exactly as it did before the data-management subsystem existed,
+// which keeps fault-free volatile runs byte-identical.
+void encode_deps(net::Writer& w, const std::vector<DataDep>& deps) {
+  if (!deps.empty()) write_deps(w, deps);
+}
+
+/// Bytes encode_deps writes.
+std::size_t optional_deps_size(const std::vector<DataDep>& deps) {
+  return deps.empty() ? 0 : deps_size(deps);
 }
 
 std::vector<DataDep> decode_deps(net::Reader& r) {
@@ -77,7 +94,7 @@ AgentRegisterMsg AgentRegisterMsg::decode(const net::Bytes& payload) {
 }
 
 net::Bytes RequestSubmitMsg::encode() const {
-  net::Writer w;
+  net::Writer w(8 + desc.wire_size() + 8 + optional_deps_size(deps));
   w.u64(client_request_id);
   desc.serialize(w);
   w.i64(in_bytes);
@@ -96,7 +113,9 @@ RequestSubmitMsg RequestSubmitMsg::decode(const net::Bytes& payload) {
 }
 
 net::Bytes RequestCollectMsg::encode() const {
-  net::Writer w;
+  const bool federated = origin_uid != 0 || ttl != 0;
+  net::Writer w(8 + desc.wire_size() + 8 + 8 +
+                (federated ? deps_size(deps) + 8 : optional_deps_size(deps)));
   w.u64(request_key);
   desc.serialize(w);
   w.i64(in_bytes);
@@ -105,14 +124,10 @@ net::Bytes RequestCollectMsg::encode() const {
   // collects (origin/ttl both zero) keep the exact pre-federation bytes;
   // federated ones always write the dep count — even 0 — so the decoder
   // can tell "empty deps + federation section" from "deps only".
-  if (origin_uid == 0 && ttl == 0) {
+  if (!federated) {
     encode_deps(w, deps);
   } else {
-    w.u32(static_cast<std::uint32_t>(deps.size()));
-    for (const auto& dep : deps) {
-      w.str(dep.data_id);
-      w.i64(dep.bytes);
-    }
+    write_deps(w, deps);
     w.u32(origin_uid);
     w.u32(ttl);
   }
@@ -135,22 +150,34 @@ RequestCollectMsg RequestCollectMsg::decode(const net::Bytes& payload) {
 }
 
 net::Bytes CandidatesMsg::encode() const {
-  net::Writer w;
+  return encode(request_key, candidates);
+}
+
+net::Bytes CandidatesMsg::encode(
+    std::uint64_t request_key, std::span<const sched::Candidate> candidates) {
+  net::Writer w(8 + sched::candidates_wire_size(candidates));
   w.u64(request_key);
   sched::serialize_candidates(w, candidates);
   return finish(w);
 }
 
+void CandidatesMsg::read_header(net::Reader& r) { request_key = r.u64(); }
+
 CandidatesMsg CandidatesMsg::decode(const net::Bytes& payload) {
   net::Reader r(payload);
   CandidatesMsg m;
-  m.request_key = r.u64();
+  m.read_header(r);
   m.candidates = sched::deserialize_candidates(r);
   return m;
 }
 
 net::Bytes RequestReplyMsg::encode() const {
-  net::Writer w;
+  std::size_t ids_size = 0;
+  if (!available_ids.empty()) {
+    ids_size = 4;
+    for (const auto& id : available_ids) ids_size += 4 + id.size();
+  }
+  net::Writer w(8 + 1 + (found ? chosen.wire_size() : 0) + ids_size);
   w.u64(client_request_id);
   w.u8(found ? 1 : 0);
   if (found) chosen.serialize(w);
@@ -282,18 +309,22 @@ PeerAnnounceMsg PeerAnnounceMsg::decode(const net::Bytes& payload) {
 }
 
 net::Bytes PeerCandidatesMsg::encode() const {
-  net::Writer w;
+  net::Writer w(8 + 4 + sched::candidates_wire_size(candidates));
   w.u64(request_key);
   w.u32(ma_uid);
   sched::serialize_candidates(w, candidates);
   return finish(w);
 }
 
+void PeerCandidatesMsg::read_header(net::Reader& r) {
+  request_key = r.u64();
+  ma_uid = r.u32();
+}
+
 PeerCandidatesMsg PeerCandidatesMsg::decode(const net::Bytes& payload) {
   net::Reader r(payload);
   PeerCandidatesMsg m;
-  m.request_key = r.u64();
-  m.ma_uid = r.u32();
+  m.read_header(r);
   m.candidates = sched::deserialize_candidates(r);
   return m;
 }

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -118,6 +119,14 @@ struct CandidatesMsg {
   std::vector<sched::Candidate> candidates;
 
   net::Bytes encode() const;
+  /// The same bytes from a key and a list held elsewhere (a SED answers
+  /// with its one standing candidate, or none).
+  static net::Bytes encode(std::uint64_t request_key,
+                           std::span<const sched::Candidate> candidates);
+  /// Reads the fields before the candidate list and leaves `r` at the
+  /// list, for a receiver that appends it where it keeps candidates
+  /// (sched::append_candidates). decode() is read_header plus the list.
+  void read_header(net::Reader& r);
   static CandidatesMsg decode(const net::Bytes& payload);
 };
 
@@ -204,6 +213,8 @@ struct PeerCandidatesMsg {
   std::vector<sched::Candidate> candidates;
 
   net::Bytes encode() const;
+  /// As CandidatesMsg::read_header.
+  void read_header(net::Reader& r);
   static PeerCandidatesMsg decode(const net::Bytes& payload);
 };
 

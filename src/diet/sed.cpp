@@ -71,6 +71,8 @@ Sed::Sed(std::uint64_t uid, std::string name, ServiceTable& services,
       tuning_(std::move(tuning)),
       rng_(seed),
       data_manager_(tuning_.data_store_max_bytes, name_) {
+  self_.sed_uid = uid_;
+  self_.sed_name = name_;
   // Catalog-coordinated eviction: an LRU victim leaves the hierarchy
   // catalog too, so locate answers never point at data we dropped.
   data_manager_.set_eviction_listener(
@@ -88,6 +90,9 @@ Sed::Sed(std::uint64_t uid, std::string name, ServiceTable& services,
 
 void Sed::register_at(net::Endpoint parent) {
   parent_ = parent;
+  // Registration follows every attach (deployment and restart), so the
+  // standing candidate's endpoint is the one collects reach us at.
+  self_.sed_endpoint = endpoint();
   SedRegisterMsg msg;
   msg.sed_uid = uid_;
   msg.name = name_;
@@ -185,8 +190,10 @@ double Sed::noisy(double base) {
   return rng_.lognormal_with_mean(base, tuning_.delay_noise_cv);
 }
 
-sched::Estimation Sed::make_estimation(const ProfileDesc& request) {
-  sched::Estimation est;
+void Sed::refresh_estimation(const ServiceEntry& entry,
+                             const ProfileDesc& request) {
+  sched::Estimation& est = self_.est;
+  est = sched::Estimation{};
   est.timestamp = env()->now();
   est.host_power = host_power_;
   est.machines = machines_;
@@ -195,33 +202,27 @@ sched::Estimation Sed::make_estimation(const ProfileDesc& request) {
   est.free_cpu = running_ > 0 ? 0.15 : 0.95;
   est.free_mem_mb = running_ > 0 ? 1024.0 : 3584.0;
   est.jobs_completed = completed_;
-  const ServiceEntry* entry = services_.find(request);
-  if (entry != nullptr && entry->estimator) {
-    entry->estimator(request, host_power_, machines_, est);
-  }
-  return est;
+  if (entry.estimator) entry.estimator(request, host_power_, machines_, est);
 }
 
 void Sed::handle_collect(const net::Envelope& envelope) {
   const RequestCollectMsg msg = RequestCollectMsg::decode(envelope.payload);
-  CandidatesMsg reply;
-  reply.request_key = msg.request_key;
-  if (services_.find(msg.desc) != nullptr) {
-    sched::Candidate self;
-    self.sed_uid = uid_;
-    self.sed_endpoint = endpoint();
-    self.sed_name = name_;
-    self.est = make_estimation(msg.desc);
-    reply.candidates.push_back(std::move(self));
+  // A capable SED answers with its standing candidate, estimation
+  // refreshed; an incapable one with an empty list.
+  std::span<const sched::Candidate> answer;
+  if (const ServiceEntry* entry = services_.find(msg.desc)) {
+    refresh_estimation(*entry, msg.desc);
+    answer = {&self_, 1};
   }
   // The reply is fixed at handle time (the estimation is a snapshot of
   // now), so encode it here: the timer carries the wire bytes, not the
   // message, and fits EventFn's inline buffer.
+  net::Bytes payload = CandidatesMsg::encode(msg.request_key, answer);
   const net::Endpoint to = envelope.from;
   const obs::TraceId trace_id = envelope.trace_id;
   const std::uint64_t epoch = epoch_;
   env()->post_after(noisy(tuning_.estimation_delay),
-                    [this, to, payload = reply.encode(), trace_id,
+                    [this, to, payload = std::move(payload), trace_id,
                      epoch]() mutable {
     if (failed_ || epoch != epoch_) return;
     env()->send(net::Envelope{endpoint(), to, kCandidates, std::move(payload),

@@ -200,7 +200,9 @@ class Sed final : public net::Actor {
   void fail_fetch(const std::string& id);
   void start_next();
   void arm_heartbeat();
-  [[nodiscard]] sched::Estimation make_estimation(const ProfileDesc& request);
+  /// Fills self_.est for one collect of `entry`'s service.
+  void refresh_estimation(const ServiceEntry& entry,
+                          const ProfileDesc& request);
   [[nodiscard]] double noisy(double base);
 
   std::uint64_t uid_;
@@ -210,6 +212,9 @@ class Sed final : public net::Actor {
   int machines_;
   SedTuning tuning_;
   Rng rng_;
+  /// This SED as its collect replies describe it: uid and name from
+  /// construction, endpoint from registration, est refreshed per collect.
+  sched::Candidate self_;
 
   net::Endpoint parent_ = net::kNullEndpoint;
   std::deque<PendingJob> queue_;

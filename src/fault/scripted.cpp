@@ -42,12 +42,6 @@ void ScriptedHook::reset() {
   std::fill(seen_by_type_.begin(), seen_by_type_.end(), 0);
 }
 
-std::size_t ScriptedHook::rules_fired() const {
-  return static_cast<std::size_t>(
-      std::count_if(rules_.begin(), rules_.end(),
-                    [](const Rule& rule) { return rule.fired; }));
-}
-
 net::FaultDecision ScriptedHook::on_message(SimTime /*now*/,
                                             net::NodeId /*src*/,
                                             net::NodeId /*dst*/,

@@ -44,8 +44,6 @@ class ScriptedHook final : public net::FaultHook {
   /// can serve many exploration runs of the same scenario.
   void reset();
 
-  [[nodiscard]] std::size_t rules_fired() const;
-
   net::FaultDecision on_message(SimTime now, net::NodeId src, net::NodeId dst,
                                 const net::Envelope& envelope,
                                 std::uint64_t stream_seq) override;

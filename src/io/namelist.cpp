@@ -159,16 +159,6 @@ NamelistGroup& Namelist::group_or_create(const std::string& name) {
   return groups_[to_lower(name)];
 }
 
-std::vector<std::string> Namelist::group_names() const {
-  std::vector<std::string> out;
-  out.reserve(groups_.size());
-  for (const auto& [name, group] : groups_) {
-    (void)group;
-    out.push_back(name);
-  }
-  return out;
-}
-
 std::string Namelist::to_string() const {
   std::string out;
   for (const auto& [name, group] : groups_) {

@@ -52,7 +52,6 @@ class Namelist {
 
   [[nodiscard]] const NamelistGroup* group(const std::string& name) const;
   [[nodiscard]] NamelistGroup& group_or_create(const std::string& name);
-  [[nodiscard]] std::vector<std::string> group_names() const;
 
   /// Writes back in namelist syntax.
   [[nodiscard]] std::string to_string() const;

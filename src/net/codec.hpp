@@ -6,6 +6,13 @@
 // Fixed-width little-endian encoding; Reader is fail-soft: after the first
 // underflow it returns zero values and ok() turns false, so malformed
 // messages are rejected in one check at the end.
+//
+// One reserve per message: an encoder that knows its exact wire size
+// passes it to the Writer, so the buffer is allocated once and never
+// grows (capacity() == size() after take()). The candidate-list and
+// profile-descriptor decoders bound a wire count by what the remaining
+// bytes can hold before sizing anything from it, so a corrupt count fails
+// the Reader instead of throwing.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +27,10 @@ using Bytes = std::vector<std::uint8_t>;
 
 class Writer {
  public:
+  Writer() = default;
+  /// Reserves `capacity` bytes up front: the encoder's exact wire size.
+  explicit Writer(std::size_t capacity) { buf_.reserve(capacity); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v) { put_raw(&v, sizeof v); }
   void u32(std::uint32_t v) { put_raw(&v, sizeof v); }
@@ -81,6 +92,10 @@ class Reader {
     pos_ += n;
     return out;
   }
+
+  /// Reads nothing; fails the reader unless `n` more bytes remain. A
+  /// decoder calls it before sizing a container from a wire count.
+  bool need(std::size_t n) { return check(n); }
 
   /// True iff no read ran past the end so far.
   [[nodiscard]] bool ok() const { return ok_; }

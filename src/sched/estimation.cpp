@@ -1,5 +1,7 @@
 #include "sched/estimation.hpp"
 
+#include <algorithm>
+
 namespace gc::sched {
 
 void Estimation::serialize(net::Writer& w) const {
@@ -46,18 +48,36 @@ Candidate Candidate::deserialize(net::Reader& r) {
   return c;
 }
 
-void serialize_candidates(net::Writer& w, const std::vector<Candidate>& c) {
+std::size_t candidates_wire_size(std::span<const Candidate> c) {
+  std::size_t bytes = 4;
+  for (const auto& candidate : c) bytes += candidate.wire_size();
+  return bytes;
+}
+
+void serialize_candidates(net::Writer& w, std::span<const Candidate> c) {
   w.u32(static_cast<std::uint32_t>(c.size()));
   for (const auto& candidate : c) candidate.serialize(w);
 }
 
-std::vector<Candidate> deserialize_candidates(net::Reader& r) {
+std::size_t append_candidates(net::Reader& r, std::vector<Candidate>& out) {
   const std::uint32_t n = r.u32();
-  std::vector<Candidate> out;
-  out.reserve(n);
+  // Reserve only into an empty list (a caller filling one list from many
+  // replies sizes it itself), and never past what the remaining bytes can
+  // hold: a corrupt count then just runs the reader dry.
+  if (out.empty()) {
+    out.reserve(std::min<std::size_t>(
+        n, r.remaining() / Candidate::kMinWireBytes));
+  }
+  const std::size_t before = out.size();
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
     out.push_back(Candidate::deserialize(r));
   }
+  return out.size() - before;
+}
+
+std::vector<Candidate> deserialize_candidates(net::Reader& r) {
+  std::vector<Candidate> out;
+  append_candidates(r, out);
   return out;
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,9 @@ struct Estimation {
   /// moves or the topology cannot price it.
   double data_xfer_s = 0.0;
 
+  /// Serialized size: nine 8-byte fields and `machines`.
+  static constexpr std::size_t kWireBytes = 9 * 8 + 4;
+
   void serialize(net::Writer& w) const;
   static Estimation deserialize(net::Reader& r);
 };
@@ -54,11 +58,26 @@ struct Candidate {
   std::string sed_name;
   Estimation est;
 
+  /// Serialized size with an empty name (uid, endpoint, name length,
+  /// estimation): no wire candidate is shorter.
+  static constexpr std::size_t kMinWireBytes =
+      8 + 4 + 4 + Estimation::kWireBytes;
+  [[nodiscard]] std::size_t wire_size() const {
+    return kMinWireBytes + sed_name.size();
+  }
+
   void serialize(net::Writer& w) const;
   static Candidate deserialize(net::Reader& r);
 };
 
-void serialize_candidates(net::Writer& w, const std::vector<Candidate>& c);
+/// Serialized size of a candidate list: the count and every candidate.
+std::size_t candidates_wire_size(std::span<const Candidate> c);
+void serialize_candidates(net::Writer& w, std::span<const Candidate> c);
+/// Reads a candidate list and appends its entries to `out`, returning how
+/// many it appended. A list cut short still appends, and counts, the
+/// candidate it was reading when the bytes ran out, zero-filled from
+/// there; r.ok() turns false.
+std::size_t append_candidates(net::Reader& r, std::vector<Candidate>& out);
 std::vector<Candidate> deserialize_candidates(net::Reader& r);
 
 }  // namespace gc::sched

@@ -1,24 +1,33 @@
 // Codec round-trip fuzz: for every DIET protocol message type, random
 // instances must satisfy encode -> decode -> encode byte-identity (the
 // wire format is part of the determinism contract — a lossy or order-
-// sensitive codec would break cross-run reproducibility). Plus explicit
-// Status error-path coverage for the fallible APIs.
+// sensitive codec would break cross-run reproducibility). Discovery-path
+// messages must also encode into exactly one buffer of their wire size,
+// and corrupt counts must fail the Reader instead of throwing. Plus
+// explicit Status error-path coverage for the fallible APIs.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "check/invariant.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
+#include "des/engine.hpp"
 #include "diet/config.hpp"
 #include "diet/protocol.hpp"
+#include "diet/sed.hpp"
 #include "dtm/messages.hpp"
 #include "io/fortran.hpp"
 #include "io/namelist.hpp"
 #include "io/tar.hpp"
 #include "naming/registry.hpp"
 #include "net/codec.hpp"
+#include "net/simenv.hpp"
+#include "net/topology.hpp"
 
 namespace gc {
 namespace {
@@ -90,13 +99,21 @@ sched::Candidate random_candidate(Rng& rng) {
   return c;
 }
 
+/// Whether an encoder must reserve its exact wire size up front. The
+/// discovery path (submit, collect, candidates, reply) does: a size
+/// function that is off by one byte shows as capacity() != size().
+enum class Size { kAny, kExact };
+
 /// encode -> decode -> encode must reproduce the first byte stream.
-template <typename Msg, typename MakeFn>
+template <typename Msg, Size kSize = Size::kAny, typename MakeFn>
 void roundtrip(MakeFn make) {
   Rng rng(20260805);
   for (int round = 0; round < kRounds; ++round) {
     const Msg msg = make(rng);
     const net::Bytes first = msg.encode();
+    if constexpr (kSize == Size::kExact) {
+      ASSERT_EQ(first.capacity(), first.size()) << "round " << round;
+    }
     const Msg back = Msg::decode(first);
     const net::Bytes second = back.encode();
     ASSERT_EQ(first, second) << "round " << round;
@@ -146,7 +163,7 @@ std::vector<diet::DataDep> random_deps(Rng& rng) {
 }
 
 TEST(CodecFuzz, RequestSubmitMsg) {
-  roundtrip<diet::RequestSubmitMsg>([](Rng& rng) {
+  roundtrip<diet::RequestSubmitMsg, Size::kExact>([](Rng& rng) {
     diet::RequestSubmitMsg msg;
     msg.client_request_id = rng.next_u64();
     msg.desc = random_desc(rng);
@@ -157,7 +174,7 @@ TEST(CodecFuzz, RequestSubmitMsg) {
 }
 
 TEST(CodecFuzz, RequestCollectMsg) {
-  roundtrip<diet::RequestCollectMsg>([](Rng& rng) {
+  roundtrip<diet::RequestCollectMsg, Size::kExact>([](Rng& rng) {
     diet::RequestCollectMsg msg;
     msg.request_key = rng.next_u64();
     msg.desc = random_desc(rng);
@@ -169,7 +186,7 @@ TEST(CodecFuzz, RequestCollectMsg) {
 }
 
 TEST(CodecFuzz, CandidatesMsg) {
-  roundtrip<diet::CandidatesMsg>([](Rng& rng) {
+  roundtrip<diet::CandidatesMsg, Size::kExact>([](Rng& rng) {
     diet::CandidatesMsg msg;
     msg.request_key = rng.next_u64();
     const std::uint64_t count = rng.uniform_u64(8);
@@ -181,7 +198,7 @@ TEST(CodecFuzz, CandidatesMsg) {
 }
 
 TEST(CodecFuzz, RequestReplyMsg) {
-  roundtrip<diet::RequestReplyMsg>([](Rng& rng) {
+  roundtrip<diet::RequestReplyMsg, Size::kExact>([](Rng& rng) {
     diet::RequestReplyMsg msg;
     msg.client_request_id = rng.next_u64();
     msg.found = rng.uniform_u64(2) == 1;
@@ -254,7 +271,7 @@ TEST(CodecFuzz, HeartbeatMsg) {
 // ---------- federation message fuzz ----------
 
 TEST(CodecFuzz, RequestCollectMsgFederated) {
-  roundtrip<diet::RequestCollectMsg>([](Rng& rng) {
+  roundtrip<diet::RequestCollectMsg, Size::kExact>([](Rng& rng) {
     diet::RequestCollectMsg msg;
     msg.request_key = rng.next_u64();
     msg.desc = random_desc(rng);
@@ -285,7 +302,7 @@ TEST(CodecFuzz, PeerAnnounceMsg) {
 }
 
 TEST(CodecFuzz, PeerCandidatesMsg) {
-  roundtrip<diet::PeerCandidatesMsg>([](Rng& rng) {
+  roundtrip<diet::PeerCandidatesMsg, Size::kExact>([](Rng& rng) {
     diet::PeerCandidatesMsg msg;
     msg.request_key = rng.next_u64();
     msg.ma_uid = static_cast<std::uint32_t>(rng.uniform_u64(1 << 16));
@@ -541,6 +558,209 @@ TEST(CodecFuzz, ArgDescAdversarialShapesNeverOverflow) {
     EXPECT_GE(check::failure_count(), std::size(hostile));
   }
   check::reset_failure_count();
+}
+
+// ---------- corrupt counts fail soft ----------
+
+// A wire count is bounded by the bytes behind it before anything is sized
+// from it: sizing from the raw counts below would throw std::bad_alloc
+// (candidates) and std::length_error (descriptor arguments).
+TEST(CodecCorrupt, HugeCandidateCountFailsTheReader) {
+  Rng rng(3);
+  net::Writer w;
+  w.u64(7);            // request key
+  w.u32(0xFFFFFFFFu);  // candidate count no payload can hold
+  random_candidate(rng).serialize(w);
+  const net::Bytes wire = w.take();
+
+  diet::CandidatesMsg msg;
+  ASSERT_NO_THROW(msg = diet::CandidatesMsg::decode(wire));
+  EXPECT_EQ(msg.request_key, 7u);
+  // The whole candidate, then the half-read one the bytes ran out in.
+  EXPECT_EQ(msg.candidates.size(), 2u);
+
+  net::Reader r(wire);
+  r.u64();
+  EXPECT_EQ(sched::deserialize_candidates(r).size(), 2u);
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(CodecCorrupt, HugeArgumentMarkerFailsTheReader) {
+  net::Writer w;
+  w.u64(9);  // request key
+  w.str("svc");
+  w.i32(-1);
+  w.i32(-1);
+  w.i32(std::numeric_limits<std::int32_t>::max());  // last_out
+  diet::ArgDesc{}.serialize(w);
+  w.i64(0);    // in_bytes
+  w.f64(1.0);  // timeout_s
+  const net::Bytes wire = w.take();
+
+  diet::RequestCollectMsg msg;
+  ASSERT_NO_THROW(msg = diet::RequestCollectMsg::decode(wire));
+  EXPECT_EQ(msg.request_key, 9u);
+  EXPECT_EQ(msg.desc.arg_count(), 0);
+
+  net::Reader r(wire);
+  r.u64();
+  EXPECT_EQ(diet::ProfileDesc::deserialize(r).arg_count(), 0);
+  EXPECT_FALSE(r.ok());
+}
+
+// ---------- in-place candidate intake ----------
+
+/// A straightforward whole-list decoder, kept as the reference
+/// append_candidates must agree with.
+std::vector<sched::Candidate> reference_deserialize(net::Reader& r) {
+  const std::uint32_t n = r.u32();
+  std::vector<sched::Candidate> out;
+  for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
+    out.push_back(sched::Candidate::deserialize(r));
+  }
+  return out;
+}
+
+net::Bytes list_bytes(std::span<const sched::Candidate> candidates) {
+  return diet::CandidatesMsg::encode(0, candidates);
+}
+
+TEST(CandidateIntake, AppendMatchesWholeListDecodeOnTruncatedLists) {
+  Rng rng(20261020);
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<sched::Candidate> list;
+    const std::uint64_t count = rng.uniform_u64(6);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      list.push_back(random_candidate(rng));
+    }
+    net::Writer w;
+    sched::serialize_candidates(w, list);
+    net::Bytes wire = w.take();
+    // Every third round is cut at a random byte, count field included.
+    if (round % 3 == 0) wire.resize(rng.uniform_u64(wire.size() + 1));
+
+    net::Reader expected_reader(wire);
+    const std::vector<sched::Candidate> expected =
+        reference_deserialize(expected_reader);
+
+    // Appended after earlier answers, as an agent's pending list is.
+    std::vector<sched::Candidate> landed;
+    const std::uint64_t earlier = rng.uniform_u64(3);
+    for (std::uint64_t i = 0; i < earlier; ++i) {
+      landed.push_back(random_candidate(rng));
+    }
+    const std::vector<sched::Candidate> before = landed;
+    net::Reader reader(wire);
+    const std::size_t appended = sched::append_candidates(reader, landed);
+
+    ASSERT_EQ(appended, expected.size()) << "round " << round;
+    ASSERT_EQ(landed.size(), before.size() + expected.size());
+    EXPECT_EQ(reader.ok(), expected_reader.ok()) << "round " << round;
+    EXPECT_EQ(reader.remaining(), expected_reader.remaining());
+    EXPECT_EQ(list_bytes({landed.data(), before.size()}), list_bytes(before))
+        << "round " << round;
+    EXPECT_EQ(list_bytes({landed.data() + before.size(), appended}),
+              list_bytes(expected))
+        << "round " << round;
+
+    net::Reader whole_reader(wire);
+    EXPECT_EQ(list_bytes(sched::deserialize_candidates(whole_reader)),
+              list_bytes(expected))
+        << "round " << round;
+  }
+}
+
+// ---------- a SED's standing candidate ----------
+
+/// Parent stand-in: records the candidate replies it receives.
+struct ReplyRecorder final : net::Actor {
+  std::vector<net::Bytes> replies;
+  void on_message(const net::Envelope& envelope) override {
+    if (envelope.type == diet::kCandidates) replies.push_back(envelope.payload);
+  }
+};
+
+TEST(SedReply, BytesAreTheCandidatesMessageOfItsStandingCandidate) {
+  des::Engine engine;
+  net::UniformTopology topology(1e-3, 1e9);
+  net::SimEnv env(engine, topology);
+  diet::ServiceTable services;
+  diet::ProfileDesc desc("svc", 0, 0, 1);
+  desc.arg(0).type = diet::DataType::kScalar;
+  desc.arg(1).type = diet::DataType::kScalar;
+  ASSERT_TRUE(services
+                  .add(desc, [](diet::ServiceContext& ctx) { ctx.finish(0); },
+                       [](const diet::ProfileDesc&, double power, int machines,
+                          sched::Estimation& est) {
+                         est.service_comp_s = 3.0 / power + machines;
+                       })
+                  .is_ok());
+  diet::Sed sed(42, "sed-with-a-name-past-the-small-string-buffer", services,
+                2.5, 3, diet::SedTuning{}, 7);
+  ReplyRecorder parent;
+  env.attach(parent, 0);
+  env.attach(sed, 1);
+  sed.register_at(parent.endpoint());
+  engine.run();
+
+  // Asks once and returns the reply together with the virtual times the
+  // collect was sent and the reply arrived.
+  std::uint64_t key = 100;
+  auto ask = [&](const diet::ProfileDesc& want) {
+    diet::RequestCollectMsg collect;
+    collect.request_key = ++key;
+    collect.desc = want;
+    const double sent = env.now();
+    env.send(net::Envelope{parent.endpoint(), sed.endpoint(),
+                           diet::kRequestCollect, collect.encode(), 0, 1});
+    engine.run();
+    EXPECT_FALSE(parent.replies.empty());
+    const net::Bytes reply = parent.replies.back();
+    parent.replies.clear();
+    return std::make_tuple(reply, sent, env.now());
+  };
+  auto expected_capable = [&](const net::Bytes& reply, double sent,
+                              double arrived) {
+    sched::Candidate self;
+    self.sed_uid = 42;
+    self.sed_endpoint = sed.endpoint();
+    self.sed_name = sed.name();
+    self.est.host_power = 2.5;
+    self.est.machines = 3;
+    self.est.queue_length = 0.0;
+    self.est.queued_work_s = 0.0;
+    self.est.free_cpu = 0.95;
+    self.est.free_mem_mb = 3584.0;
+    self.est.service_comp_s = 3.0 / 2.5 + 3;
+    self.est.jobs_completed = 0;
+    // The estimation's snapshot time is between the ask and the answer.
+    const diet::CandidatesMsg got = diet::CandidatesMsg::decode(reply);
+    if (got.candidates.size() == 1) {
+      self.est.timestamp = got.candidates[0].est.timestamp;
+      EXPECT_GT(self.est.timestamp, sent);
+      EXPECT_LT(self.est.timestamp, arrived);
+    }
+    return diet::CandidatesMsg{key, {self}}.encode();
+  };
+
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    const auto [capable, sent, arrived] = ask(desc);
+    EXPECT_EQ(capable, expected_capable(capable, sent, arrived));
+
+    diet::ProfileDesc other("other", -1, -1, 0);
+    const auto [incapable, unused_sent, unused_arrived] = ask(other);
+    EXPECT_EQ(incapable, (diet::CandidatesMsg{key, {}}.encode()));
+  }
+
+  // A restart re-attaches under a fresh endpoint; the standing candidate
+  // must name the new one.
+  const net::Endpoint old_endpoint = sed.endpoint();
+  sed.fail();
+  sed.restart();
+  engine.run();
+  ASSERT_NE(sed.endpoint(), old_endpoint);
+  const auto [capable, sent, arrived] = ask(desc);
+  EXPECT_EQ(capable, expected_capable(capable, sent, arrived));
 }
 
 // ---------- Status error paths ----------
