@@ -133,13 +133,14 @@ void BM_ProfileSerialize(benchmark::State& state) {
     profile.arg(i).set_scalar<std::int32_t>(i, gc::diet::BaseType::kInt,
                                             gc::diet::Persistence::kVolatile);
   }
+  const gc::diet::ProfileDesc service = profile.desc();
   for (auto _ : state) {
     gc::net::Writer writer;
     profile.serialize_inputs(writer);
     const gc::net::Bytes bytes = writer.data();
     gc::net::Reader reader(bytes);
     benchmark::DoNotOptimize(
-        gc::diet::Profile::deserialize_inputs("ramsesZoom2", 6, 6, 8, reader));
+        gc::diet::Profile::deserialize_inputs(service, 6, 6, 8, reader));
   }
 }
 BENCHMARK(BM_ProfileSerialize);

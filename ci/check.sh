@@ -114,6 +114,19 @@ rm -rf "$GPD"
 }
 echo "galaxy_pipeline --out <tmp>/results.tar: sha256 pinned"
 
+step "quickstart stdout pinned (the paper's C API driving the DES)"
+# Section 4's server and client code through the DIET C API: diet_call
+# runs the engine until the call completes, and the solve function runs
+# GRAFIC -> PM -> FoF at its completion event. Nothing in CI ran it before.
+# TMPDIR is unset because the printed paths come from
+# temp_directory_path().
+QS_SHA=$(env -u TMPDIR ./build/examples/quickstart | sha256sum | cut -d' ' -f1)
+[[ "$QS_SHA" == "bb995585d2f728967829c1f0e14cc21907c035b34933caae36bc4dada5fb9916" ]] || {
+  echo "quickstart stdout moved: sha256 $QS_SHA" >&2
+  exit 1
+}
+echo "quickstart: sha256 pinned"
+
 step "no thread pool in src/halo/"
 # FoF is one serial sweep: in a campaign it runs inside a pool job, where
 # regions run inline anyway.

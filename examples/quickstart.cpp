@@ -3,12 +3,14 @@
 // This example reproduces Section 4 ("Interfacing RAMSES within DIET") at
 // laptop scale: it defines the ramsesZoom1 service with the paper's
 // DIET_server.h API (profile description, service table, synchronous
-// solve function), deploys MA + LA + 2 SEDs in-process, then acts as the
-// client of Section 4.3 (diet_initialize / diet_profile_alloc /
+// solve function), deploys MA + LA + a SED in-process on the DES, then
+// acts as the client of Section 4.3 (diet_initialize / diet_profile_alloc /
 // diet_scalar_set / diet_file_set / diet_call / diet_file_get).
 //
-// The solve function runs the real pipeline: GRAFIC initial conditions ->
-// PM/N-body -> HaloMaker; a 16^3 run finishes in a couple of seconds.
+// diet_call runs the simulation until the call completes. The solve
+// function runs the real pipeline at its completion event, in zero
+// modeled time: GRAFIC initial conditions -> PM/N-body -> HaloMaker; a
+// 16^3 run finishes in a couple of seconds.
 //
 //   ./quickstart [--resolution 16] [--box 100]
 #include <cstdio>
@@ -18,6 +20,7 @@
 
 #include "common/cli.hpp"
 #include "common/log.hpp"
+#include "des/engine.hpp"
 #include "diet/agent.hpp"
 #include "diet/capi.hpp"
 #include "halo/halomaker.hpp"
@@ -101,9 +104,10 @@ int main(int argc, char** argv) {
                    .string();
   std::filesystem::create_directories(g_work_dir);
 
-  // ---- deployment: MA, one LA, two SEDs on an in-process RealEnv ----
+  // ---- deployment: MA, one LA and a SED on the in-process DES ----
+  gc::des::Engine engine;
   gc::net::UniformTopology topology(0.5e-3, 1.25e8);
-  gc::net::RealEnv env(topology);
+  gc::net::SimEnv env(engine, topology);
   gc::naming::Registry registry;
   gc::diet::capi::bind_process(env, registry, /*client_node=*/0);
 
@@ -148,7 +152,7 @@ int main(int argc, char** argv) {
 
   // ---- client main() (Section 4.3.1) ----
   if (diet_initialize(client_cfg.c_str(), argc, argv) != 0) return 1;
-  env.wait_idle();  // let registration settle
+  engine.run();  // let registration settle
 
   const std::string namelist = g_work_dir + "/zoom.nml";
   {
@@ -206,7 +210,6 @@ int main(int argc, char** argv) {
 
   diet_profile_free(profile);
   diet_finalize();
-  env.stop();
   gc::diet::capi::unbind_process();
   return 0;
 }

@@ -1,7 +1,7 @@
 // Runtime lock-order (deadlock-potential) checker.
 //
 // Every instrumented mutex acquisition is reported to a global recorder
-// under a stable name ("realenv.mutex", "pool.queue", ...). The recorder
+// under a stable name ("pool.queue", "pool.submit", ...). The recorder
 // keeps, per thread, the stack of names currently held and, globally, the
 // directed graph of observed held-before-acquired edges. A new edge that
 // closes a cycle means two threads can acquire the same two locks in

@@ -2,8 +2,7 @@
 //
 // A header of its own so the Env timer interface (net/env.hpp) can take
 // the engine's handler type without including the engine: a SimEnv timer
-// goes into the calendar as-is and RealEnv queues the same type, so no
-// timer is type-erased twice.
+// goes into the calendar as-is, so no timer is type-erased twice.
 #pragma once
 
 #include <cstddef>

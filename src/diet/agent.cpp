@@ -52,22 +52,6 @@ void Agent::fail() {
   env()->detach(endpoint());
 }
 
-void Agent::shutdown() {
-  ++epoch_;
-  for (auto& child : children_) {
-    if (child.hb_timer != 0) {
-      env()->cancel_timer(child.hb_timer);
-      child.hb_timer = 0;
-    }
-  }
-  for (auto& peer : peers_) {
-    if (peer.hb_timer != 0) {
-      env()->cancel_timer(peer.hb_timer);
-      peer.hb_timer = 0;
-    }
-  }
-}
-
 void Agent::set_federation(std::uint32_t ma_uid,
                            std::uint64_t request_key_base) {
   GC_CHECK_MSG(kind_ == Kind::kMaster, "only MAs federate");

@@ -105,10 +105,6 @@ class Agent final : public net::Actor {
   void fail();
   [[nodiscard]] bool failed() const { return failed_; }
 
-  /// Stops the periodic loops (own heartbeat, child watchdogs) without
-  /// failing the agent; RealEnv tests call this before Env::stop().
-  void shutdown();
-
   /// Children currently marked dead by the heartbeat watchdog.
   [[nodiscard]] std::uint64_t heartbeat_evictions() const {
     return heartbeat_evictions_;
@@ -296,7 +292,7 @@ class Agent final : public net::Actor {
   std::set<std::pair<net::Endpoint, std::uint64_t>> seen_submits_;
   std::uint64_t heartbeat_evictions_ = 0;
   std::uint64_t heartbeat_seq_ = 0;
-  std::uint64_t epoch_ = 0;  ///< bumped by fail()/shutdown(); kills loops
+  std::uint64_t epoch_ = 0;  ///< bumped by fail(); kills loops
   bool failed_ = false;
 };
 

@@ -1,10 +1,9 @@
 #include "diet/capi.hpp"
 
-#include <condition_variable>
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/log.hpp"
@@ -26,7 +25,7 @@ struct AsyncRequest {
 };
 
 struct Session {
-  gc::net::RealEnv* env = nullptr;
+  gc::net::SimEnv* env = nullptr;
   gc::naming::Registry* registry = nullptr;
   gc::net::NodeId client_node = 0;
   std::unique_ptr<Client> client;
@@ -34,13 +33,32 @@ struct Session {
   std::vector<std::unique_ptr<Sed>> seds;
   std::uint64_t next_sed_uid = 1000;
 
-  std::mutex async_mutex;
-  std::condition_variable async_cv;
   std::map<diet_reqID_t, AsyncRequest> async_requests;
   diet_reqID_t next_request_id = 1;
 };
 
 Session g_session;
+
+/// True (after logging) when a blocking entry was called from inside a
+/// DES handler, a solve function calling diet_call for one: waiting there
+/// would re-enter the engine. Also true when no env is bound.
+bool cannot_block(const char* entry) {
+  if (g_session.env == nullptr) return true;
+  if (g_session.env->engine().current_cid() == 0) return false;
+  GC_ERROR << entry << ": called from inside a DES handler";
+  return true;
+}
+
+/// Runs the bound engine until `done()` holds or the calendar is empty;
+/// returns done(). Every blocking entry waits through this.
+template <typename Done>
+bool run_until(Done done) {
+  gc::des::Engine& engine = g_session.env->engine();
+  while (!done()) {
+    if (!engine.step()) return false;
+  }
+  return true;
+}
 
 gc::diet::Persistence to_persistence(diet_persistence_mode_t mode) {
   return static_cast<gc::diet::Persistence>(mode);
@@ -53,7 +71,7 @@ gc::diet::BaseType to_base(diet_base_type_t base) {
 
 namespace gc::diet::capi {
 
-void bind_process(net::RealEnv& env, naming::Registry& registry,
+void bind_process(net::SimEnv& env, naming::Registry& registry,
                   net::NodeId client_node) {
   g_session.env = &env;
   g_session.registry = &registry;
@@ -64,8 +82,7 @@ void unbind_process() {
   g_session.client.reset();
   g_session.seds.clear();
   g_session.table.reset();
-  g_session.env = nullptr;
-  g_session.registry = nullptr;
+  g_session = Session{};  // the next binding starts a fresh session
 }
 
 }  // namespace gc::diet::capi
@@ -92,16 +109,15 @@ int diet_initialize(const char* config_file, int /*argc*/, char** /*argv*/) {
   g_session.client = std::make_unique<Client>("capi-client");
   g_session.env->attach(*g_session.client, g_session.client_node);
   g_session.client->connect(ma.value());
-  g_session.env->start();
   return 0;
 }
 
 int diet_finalize() {
-  if (g_session.env != nullptr) g_session.env->wait_idle();
-  {
-    std::lock_guard<std::mutex> lock(g_session.async_mutex);
-    g_session.async_requests.clear();
+  if (g_session.env != nullptr) {
+    if (cannot_block("diet_finalize")) return 1;
+    g_session.env->engine().run();
   }
+  g_session.async_requests.clear();
   g_session.client.reset();
   return 0;
 }
@@ -203,10 +219,13 @@ int diet_file_get(diet_arg_t* arg, diet_persistence_mode_t* mode,
 }
 
 int diet_call(diet_profile_t* profile) {
-  if (g_session.client == nullptr || profile == nullptr) return 1;
-  const gc::Status status = g_session.client->call(*profile);
-  if (!status.is_ok()) {
-    GC_WARN << "diet_call: " << status.to_string();
+  if (cannot_block("diet_call")) return 1;
+  diet_reqID_t id = 0;
+  if (diet_call_async(profile, &id) != 0) return 1;
+  const int status = diet_wait(id);
+  diet_cancel(id);
+  if (status != 0) {
+    GC_WARN << "diet_call: " << profile->path() << " failed";
     return 1;
   }
   return 0;
@@ -225,16 +244,11 @@ int diet_call_async(diet_profile_t* profile, diet_reqID_t* request_id) {
       request_id == nullptr) {
     return 1;
   }
-  diet_reqID_t id;
-  {
-    std::lock_guard<std::mutex> lock(g_session.async_mutex);
-    id = g_session.next_request_id++;
-    g_session.async_requests[id] = AsyncRequest{false, -1, profile};
-  }
+  const diet_reqID_t id = g_session.next_request_id++;
+  g_session.async_requests[id] = AsyncRequest{false, -1, profile};
   *request_id = id;
   g_session.client->call_async(
       *profile, [id](const gc::Status& status, gc::diet::Profile& result) {
-        std::lock_guard<std::mutex> lock(g_session.async_mutex);
         auto it = g_session.async_requests.find(id);
         if (it == g_session.async_requests.end()) return;  // cancelled
         if (it->second.profile != nullptr) {
@@ -242,36 +256,32 @@ int diet_call_async(diet_profile_t* profile, diet_reqID_t* request_id) {
         }
         it->second.completed = true;
         it->second.status = status.is_ok() ? 0 : 1;
-        g_session.async_cv.notify_all();
       });
   return 0;
 }
 
 int diet_wait(diet_reqID_t request_id) {
-  std::unique_lock<std::mutex> lock(g_session.async_mutex);
+  if (cannot_block("diet_wait")) return 1;
+  if (g_session.async_requests.count(request_id) == 0) return -1;
+  run_until([request_id] {
+    auto it = g_session.async_requests.find(request_id);
+    return it == g_session.async_requests.end() || it->second.completed;
+  });
   auto it = g_session.async_requests.find(request_id);
   if (it == g_session.async_requests.end()) return -1;
-  // DIET C API contract: this blocks a RealEnv client thread, never the
-  // dispatch context.
-  // gclint: allow(mc-blocking) RealEnv client-thread wait
-  g_session.async_cv.wait(lock, [request_id] {
-    auto i = g_session.async_requests.find(request_id);
-    return i == g_session.async_requests.end() || i->second.completed;
-  });
-  it = g_session.async_requests.find(request_id);
-  return it != g_session.async_requests.end() ? it->second.status : -1;
+  return it->second.completed ? it->second.status : 1;
 }
 
 int diet_wait_all() {
-  std::unique_lock<std::mutex> lock(g_session.async_mutex);
-  // gclint: allow(mc-blocking) RealEnv client-thread wait
-  g_session.async_cv.wait(lock, [] {
+  if (cannot_block("diet_wait_all")) return 1;
+  const bool all_done = run_until([] {
     for (const auto& [id, request] : g_session.async_requests) {
       (void)id;
       if (!request.completed) return false;
     }
     return true;
   });
+  if (!all_done) return 1;
   int worst = 0;
   for (const auto& [id, request] : g_session.async_requests) {
     (void)id;
@@ -281,18 +291,21 @@ int diet_wait_all() {
 }
 
 int diet_wait_any(diet_reqID_t* request_id) {
-  if (request_id == nullptr) return -1;
-  std::unique_lock<std::mutex> lock(g_session.async_mutex);
+  if (request_id == nullptr || cannot_block("diet_wait_any") ||
+      g_session.async_requests.empty()) {
+    return -1;
+  }
+  // Requests complete in engine events, and the scan runs between steps:
+  // the lowest id complete after the first step that completes any.
   diet_reqID_t found = 0;
-  // gclint: allow(mc-blocking) RealEnv client-thread wait
-  g_session.async_cv.wait(lock, [&found] {
+  run_until([&found] {
     for (const auto& [id, request] : g_session.async_requests) {
       if (request.completed) {
         found = id;
         return true;
       }
     }
-    return g_session.async_requests.empty();
+    return false;
   });
   if (found == 0) return -1;
   *request_id = found;
@@ -300,14 +313,12 @@ int diet_wait_any(diet_reqID_t* request_id) {
 }
 
 int diet_probe(diet_reqID_t request_id) {
-  std::lock_guard<std::mutex> lock(g_session.async_mutex);
   auto it = g_session.async_requests.find(request_id);
   if (it == g_session.async_requests.end()) return -1;
   return it->second.completed ? 0 : 1;
 }
 
 int diet_cancel(diet_reqID_t request_id) {
-  std::lock_guard<std::mutex> lock(g_session.async_mutex);
   return g_session.async_requests.erase(request_id) > 0 ? 0 : -1;
 }
 
@@ -396,12 +407,11 @@ int diet_SeD(const char* config_file, int /*argc*/, char** /*argv*/) {
   auto sed = std::make_unique<Sed>(uid, name, *g_session.table, power,
                                    machines, tuning, /*seed=*/uid + 1);
   g_session.env->attach(*sed, node);
-  g_session.env->start();
   sed->register_at(parent.value());
   g_session.seds.push_back(std::move(sed));
-  // The real diet_SeD blocks forever serving requests; in-process the Env
-  // dispatcher thread serves them, so we return and let the caller keep
-  // the process alive.
+  // The real diet_SeD blocks forever serving requests; in-process the SED
+  // serves them whenever a blocking client call runs the engine, so we
+  // return and let the caller go on to its client code.
   return 0;
 }
 

@@ -8,10 +8,16 @@
 // C++ core, so the examples can be written exactly like the paper's
 // listings.
 //
-// Process binding: the in-process deployment (Env + Registry) is bound
+// Process binding: the in-process deployment (SimEnv + Registry) is bound
 // once with capi::bind_process(); diet_initialize then resolves the MA
 // named in the configuration file, exactly as the real library resolves
 // it through omniORB.
+//
+// The blocking entries (diet_call, diet_wait*, diet_finalize) run the
+// bound SimEnv's engine on the caller's stack until what they wait for
+// has happened, so the paper's synchronous client code drives the
+// simulation. Called from inside a DES handler (a solve function calling
+// diet_call) they return an error instead of re-entering the engine.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +27,7 @@
 #include "diet/sed.hpp"
 #include "diet/service.hpp"
 #include "naming/registry.hpp"
-#include "net/realenv.hpp"
+#include "net/simenv.hpp"
 
 // --- DIET-style type names -------------------------------------------------
 
@@ -63,7 +69,7 @@ using diet_solve_t = int (*)(diet_profile_t*);
 namespace gc::diet::capi {
 /// Binds the in-process deployment this C API talks to. `client_node` is
 /// where diet_initialize attaches its client.
-void bind_process(net::RealEnv& env, naming::Registry& registry,
+void bind_process(net::SimEnv& env, naming::Registry& registry,
                   net::NodeId client_node);
 void unbind_process();
 }  // namespace gc::diet::capi
@@ -93,7 +99,8 @@ int diet_file_set(diet_arg_t* arg, diet_persistence_mode_t mode,
 int diet_file_get(diet_arg_t* arg, diet_persistence_mode_t* mode,
                   std::size_t* size, char** path);
 
-/// Synchronous GridRPC call through the bound session.
+/// Synchronous GridRPC call through the bound session: 0 on success, 1 if
+/// the call failed or the engine ran out of events before it completed.
 int diet_call(diet_profile_t* profile);
 
 // GridRPC aliases ("all diet_ functions are duplicated with grpc_
@@ -109,14 +116,17 @@ using diet_reqID_t = std::uint64_t;
 /// Starts a call and returns immediately; *request_id identifies it.
 int diet_call_async(diet_profile_t* profile, diet_reqID_t* request_id);
 /// Blocks until the given request completes; returns its solve status
-/// (0 = success). The profile passed to diet_call_async holds the merged
-/// OUT/INOUT values afterwards.
+/// (0 = success, 1 = failed or never completed, -1 = unknown id). The
+/// profile passed to diet_call_async holds the merged OUT/INOUT values
+/// afterwards.
 int diet_wait(diet_reqID_t request_id);
 /// Blocks until ALL outstanding async requests of this session complete;
 /// returns 0 iff every one succeeded.
 int diet_wait_all();
-/// Blocks until ANY outstanding request completes; its id is stored in
-/// *request_id.
+/// Blocks until ANY outstanding request completes and stores in
+/// *request_id the lowest id among the requests complete at that point
+/// (the same id on every run). Returns its status, or -1 when no request
+/// is outstanding or none completes.
 int diet_wait_any(diet_reqID_t* request_id);
 /// Non-blocking completion probe: 0 = completed, 1 = still running,
 /// -1 = unknown id.
@@ -145,8 +155,8 @@ void diet_print_service_table();
 
 /// Launches a SED on the bound deployment: reads parentName from the
 /// configuration file, registers the service table, and returns. (The
-/// real diet_SeD never returns; in-process the Env dispatcher plays that
-/// role — see DESIGN.md.)
+/// real diet_SeD never returns; in-process the SED serves requests while
+/// the client's blocking calls run the engine — see DESIGN.md.)
 int diet_SeD(const char* config_file, int argc, char** argv);
 
 /// The solve-side result setter used in Section 4.2.3's listing.

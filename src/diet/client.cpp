@@ -1,7 +1,6 @@
 #include "diet/client.hpp"
 
 #include <cmath>
-#include <future>
 #include <utility>
 
 #include "check/mutation.hpp"
@@ -42,12 +41,13 @@ std::uint64_t Client::call_async(Profile profile, DoneFn done,
                                  double deadline_s) {
   GC_CHECK_MSG(ma_ != net::kNullEndpoint, "client not connected to an MA");
   const std::uint64_t id = next_id_.fetch_add(1);
-  // All state mutation happens on the dispatch context so the client needs
-  // no locking even when call_async is invoked from an application thread.
-  // Submissions serialize behind the client's marshalling work, in call-id
-  // order: a burst of hand-off events lands at one timestamp, and the
-  // dispatcher may run logically-concurrent events in any order, so the
-  // queue below (not event order) decides who marshals first.
+  // The call enters the client through a zero-delay hand-off event, also
+  // when call_async runs outside any handler (the C API's client code):
+  // every pinned event schedule includes it. Submissions serialize behind
+  // the client's marshalling work, in call-id order: a burst of hand-off
+  // events lands at one timestamp, and a schedule strategy may run
+  // logically-concurrent events in any order, so the queue below (not
+  // event order) decides who marshals first.
   env()->post_after_as(endpoint(), 0.0,
                        [this, id, profile = std::move(profile),
                           done = std::move(done), deadline_s]() mutable {
@@ -76,26 +76,6 @@ void Client::drain_submissions() {
                                deadline_s);
                       });
   }
-}
-
-gc::Status Client::call(Profile& profile, double deadline_s) {
-  if (env()->is_simulated()) {
-    return make_error(ErrorCode::kFailedPrecondition,
-                      "blocking diet_call is not available under the DES; "
-                      "use call_async");
-  }
-  std::promise<gc::Status> promise;
-  auto future = promise.get_future();
-  call_async(profile,
-             [&promise, &profile](const gc::Status& status, Profile& result) {
-               profile = result;  // merge OUT/INOUT values back
-               promise.set_value(status);
-             },
-             deadline_s);
-  // The synchronous call() API is RealEnv-only (guarded above); simulated
-  // scenarios go through call_async.
-  // gclint: allow(mc-blocking) RealEnv-only synchronous path
-  return future.get();
 }
 
 void Client::submit(std::uint64_t id, Profile profile, DoneFn done,

@@ -89,21 +89,15 @@ class Client final : public net::Actor {
   /// MA name from the configuration file to this endpoint).
   void connect(net::Endpoint master_agent) { ma_ = master_agent; }
 
-  /// GridRPC-style asynchronous call (diet_call_async). Thread-safe: may
-  /// be invoked from any thread; `done` runs on the Env dispatch context
-  /// with the profile containing merged OUT/INOUT values.
+  /// GridRPC-style asynchronous call (diet_call_async). May be invoked
+  /// from a handler or from code outside the engine; `done` runs in a
+  /// later event with the profile containing merged OUT/INOUT values.
   /// `deadline_s` > 0 bounds the whole call: if no result arrived within
   /// that many seconds of submission, the call completes with
   /// kUnavailable (a late result from the SED is then ignored). This is
   /// how a client survives a SED dying with its job (see Sed::fail).
   std::uint64_t call_async(Profile profile, DoneFn done,
                            double deadline_s = 0.0);
-
-  /// Synchronous diet_call. Only valid under RealEnv (a simulated client
-  /// cannot block); merges results into `profile`. `deadline_s` > 0
-  /// bounds the wait like call_async's deadline — without it a SED that
-  /// never replies would block the caller forever.
-  gc::Status call(Profile& profile, double deadline_s = 0.0);
 
   void on_message(const net::Envelope& envelope) override;
 
@@ -144,7 +138,7 @@ class Client final : public net::Actor {
               double deadline_s);
   /// Hands queued submissions to the marshalling serializer in call-id
   /// order (= call_async program order), however the hand-off events were
-  /// interleaved by the dispatcher.
+  /// interleaved by the engine.
   void drain_submissions();
   /// Ships the IN/INOUT data to the chosen SED. Persistent arguments the
   /// SED is known to hold travel as id-only references unless

@@ -7,8 +7,8 @@
 //
 // File arguments never carry their contents through the middleware: like
 // real DIET, the descriptor carries the path and size, and the transfer is
-// priced separately (Envelope::modeled_extra_bytes) — in RealEnv the file
-// is on a filesystem both sides can reach (the paper's NFS assumption).
+// priced separately (Envelope::modeled_extra_bytes); the file itself is on
+// a filesystem both sides can reach (the paper's NFS assumption).
 #pragma once
 
 #include <cstdint>
@@ -100,8 +100,9 @@ class ArgValue {
   gc::Status set_string(const std::string& value, Persistence mode);
 
   /// File argument: `path` may be empty for a not-yet-produced OUT file.
-  /// `modeled_bytes` < 0 means "stat the file when sending" (RealEnv);
-  /// >= 0 pins the modeled transfer volume (SimEnv).
+  /// `modeled_bytes` < 0 prices the file at its size on disk now; >= 0
+  /// pins the modeled transfer volume (a modeled output bigger than the
+  /// laptop-scale file behind it).
   gc::Status set_file(const std::string& path, Persistence mode,
                       std::int64_t modeled_bytes = -1);
 
@@ -159,6 +160,8 @@ class ArgValue {
 
   void serialize_value(net::Writer& w) const;
   void deserialize_value(net::Reader& r);
+  /// Fewest bytes serialize_value writes: descriptor, flags, empty id.
+  static constexpr std::size_t kMinWireBytes = ArgDesc::kWireBytes + 1 + 4;
 
   void clear_value() {
     has_value_ = false;

@@ -67,9 +67,8 @@ struct DeploymentSpec {
 class Deployment {
  public:
   /// Creates and attaches all actors and fires the registration messages.
-  /// Under a SimEnv, run the engine briefly (e.g. run_until(now + 1.0))
-  /// before submitting requests so registration settles; under a RealEnv,
-  /// call env.wait_idle().
+  /// Run the engine briefly (e.g. run_until(now + 1.0)) before submitting
+  /// requests so registration settles.
   Deployment(net::Env& env, naming::Registry& registry,
              ServiceTable& services, const DeploymentSpec& spec);
 

@@ -116,11 +116,25 @@ void Profile::serialize_inputs(net::Writer& w) const {
   for (int i = 0; i <= last_inout_; ++i) arg(i).serialize_value(w);
 }
 
-Profile Profile::deserialize_inputs(const std::string& path, int last_in,
-                                    int last_inout, int last_out,
-                                    net::Reader& r) {
-  Profile p(path, last_in, last_inout, last_out);
+gc::Result<Profile> Profile::deserialize_inputs(const ProfileDesc& service,
+                                                int last_in, int last_inout,
+                                                int last_out, net::Reader& r) {
+  if (last_in != service.last_in() || last_inout != service.last_inout() ||
+      last_out != service.last_out()) {
+    return make_error(ErrorCode::kInvalidArgument,
+                      "call markers do not match service " + service.path());
+  }
+  const auto values = static_cast<std::size_t>(last_inout + 1);
+  if (!r.need(ArgValue::kMinWireBytes * values)) {
+    return make_error(ErrorCode::kInvalidArgument,
+                      "call data too short for " + service.path());
+  }
+  Profile p(service.path(), last_in, last_inout, last_out);
   for (int i = 0; i <= last_inout; ++i) p.arg(i).deserialize_value(r);
+  if (!r.ok()) {
+    return make_error(ErrorCode::kInvalidArgument,
+                      "call data truncated for " + service.path());
+  }
   return p;
 }
 

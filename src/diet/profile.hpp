@@ -111,10 +111,14 @@ class Profile {
 
   /// Serializes IN + INOUT argument values (client -> SED).
   void serialize_inputs(net::Writer& w) const;
-  /// Rebuilds a callee-side profile from a request.
-  static Profile deserialize_inputs(const std::string& path, int last_in,
-                                    int last_inout, int last_out,
-                                    net::Reader& r);
+  /// Rebuilds a callee-side profile for `service` from a request. The
+  /// request's markers come off the wire, and only IN/INOUT values travel,
+  /// so no byte count bounds last_out: the markers must be the service's,
+  /// and the bytes must hold every IN/INOUT value. Otherwise an error,
+  /// and nothing was sized from them.
+  static gc::Result<Profile> deserialize_inputs(const ProfileDesc& service,
+                                                int last_in, int last_inout,
+                                                int last_out, net::Reader& r);
 
   /// Serializes INOUT + OUT argument values (SED -> client).
   void serialize_outputs(net::Writer& w) const;

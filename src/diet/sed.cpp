@@ -151,8 +151,6 @@ void Sed::restart() {
   register_at(parent_);
 }
 
-void Sed::shutdown() { ++epoch_; }
-
 void Sed::on_message(const net::Envelope& envelope) {
   if (failed_) return;
   switch (envelope.type) {
@@ -285,13 +283,18 @@ void Sed::fail_fetch(const std::string& id) {
     blocked_.erase(blocked);
     GC_WARN << "sed " << name_ << ": missing persistent data " << id
             << " for call " << job.call_id;
-    seen_calls_.erase(job.call_id);  // the full-data resend reuses the id
-    CallResultMsg result;
-    result.call_id = job.call_id;
-    result.solve_status = kMissingDataStatus;
-    env()->send(net::Envelope{endpoint(), job.client, kCallResult,
-                              result.encode(), 0, job.trace_id});
+    reject_call(job.call_id, job.client, job.trace_id, kMissingDataStatus);
   }
+}
+
+void Sed::reject_call(std::uint64_t call_id, net::Endpoint client,
+                      obs::TraceId trace_id, std::int32_t status) {
+  seen_calls_.erase(call_id);  // the error reply invites a resend
+  CallResultMsg result;
+  result.call_id = call_id;
+  result.solve_status = status;
+  env()->send(net::Envelope{endpoint(), client, kCallResult, result.encode(),
+                            0, trace_id});
 }
 
 void Sed::handle_call(const net::Envelope& envelope) {
@@ -312,27 +315,28 @@ void Sed::handle_call(const net::Envelope& envelope) {
     return;
   }
   seen_calls_.insert(msg.call_id);
-  net::Reader r(msg.inputs);
-  PendingJob job;
-  job.call_id = msg.call_id;
-  job.client = envelope.from;
-  job.profile = Profile::deserialize_inputs(msg.path, msg.last_in,
-                                            msg.last_inout, msg.last_out, r);
-  job.arrived = env()->now();
-  job.comp_estimate_s = 0.0;
-  job.trace_id = envelope.trace_id;
-
   const ServiceEntry* entry = services_.find_by_path(msg.path);
   if (entry == nullptr) {
     GC_WARN << "sed " << name_ << ": no service " << msg.path;
-    seen_calls_.erase(msg.call_id);  // the error reply invites a resend
-    CallResultMsg result;
-    result.call_id = msg.call_id;
-    result.solve_status = -1;
-    env()->send(net::Envelope{endpoint(), job.client, kCallResult,
-                              result.encode(), 0, job.trace_id});
+    reject_call(msg.call_id, envelope.from, envelope.trace_id, -1);
     return;
   }
+  net::Reader r(msg.inputs);
+  auto profile = Profile::deserialize_inputs(entry->desc, msg.last_in,
+                                             msg.last_inout, msg.last_out, r);
+  if (!profile.is_ok()) {
+    GC_WARN << "sed " << name_ << ": call " << msg.call_id << ": "
+            << profile.status().to_string();
+    reject_call(msg.call_id, envelope.from, envelope.trace_id, -1);
+    return;
+  }
+  PendingJob job;
+  job.call_id = msg.call_id;
+  job.client = envelope.from;
+  job.profile = std::move(profile.value());
+  job.arrived = env()->now();
+  job.comp_estimate_s = 0.0;
+  job.trace_id = envelope.trace_id;
 
   // Persistent data management: incoming persistent values are stored on
   // receipt (and registered in the hierarchy catalog) so calls queued
@@ -350,12 +354,8 @@ void Sed::handle_call(const net::Envelope& envelope) {
           // No hierarchy to ask: fail fast, the client resends in full.
           GC_WARN << "sed " << name_ << ": missing persistent data "
                   << arg.data_id() << " for call " << msg.call_id;
-          seen_calls_.erase(msg.call_id);
-          CallResultMsg result;
-          result.call_id = msg.call_id;
-          result.solve_status = kMissingDataStatus;
-          env()->send(net::Envelope{endpoint(), job.client, kCallResult,
-                                    result.encode(), 0, job.trace_id});
+          reject_call(msg.call_id, job.client, job.trace_id,
+                      kMissingDataStatus);
           return;
         }
         missing.insert(arg.data_id());

@@ -105,11 +105,6 @@ class Sed final : public net::Actor {
   /// retried calls at-most-once-executed across a crash-restart.
   void restart();
 
-  /// Stops the periodic heartbeat loop without failing the SED. RealEnv
-  /// tests call this before Env::stop(), which waits for an empty queue
-  /// and would otherwise never see one.
-  void shutdown();
-
   void on_message(const net::Envelope& envelope) override;
 
   [[nodiscard]] std::uint64_t uid() const { return uid_; }
@@ -171,6 +166,10 @@ class Sed final : public net::Actor {
 
   void handle_collect(const net::Envelope& envelope);
   void handle_call(const net::Envelope& envelope);
+  /// Answers a call with an error status instead of running it, and
+  /// un-journals its id so the client's corrective resend is accepted.
+  void reject_call(std::uint64_t call_id, net::Endpoint client,
+                   obs::TraceId trace_id, std::int32_t status);
   void handle_data_location(const net::Envelope& envelope);
   void handle_data_pull(const net::Envelope& envelope);
   void handle_data_push(const net::Envelope& envelope);
@@ -245,7 +244,7 @@ class Sed final : public net::Actor {
   /// duplicate of kCallData hits this set and is ignored; error replies
   /// un-journal their id so the client's corrective resend is accepted.
   std::unordered_set<std::uint64_t> seen_calls_;
-  /// Bumped by fail()/shutdown(): pending timers and running jobs from an
+  /// Bumped by fail(): pending timers and running jobs from an
   /// older epoch discover they are stale and do nothing.
   std::uint64_t epoch_ = 0;
   std::uint64_t heartbeat_seq_ = 0;

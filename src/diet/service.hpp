@@ -2,10 +2,10 @@
 //
 // A SED owns a ServiceTable mapping profile descriptions to solve
 // functions (Section 4.2.2: diet_service_table_add). Solve functions are
-// written in continuation style against a ServiceContext so the same code
-// runs under the DES (virtual durations) and under RealEnv (actual
-// computation on worker threads); a synchronous adapter reproduces the
-// paper's `int solve_serviceName(diet_profile_t*)` shape.
+// written in continuation style against a ServiceContext, so a service
+// models its duration in virtual time and may still compute real results;
+// a synchronous adapter reproduces the paper's
+// `int solve_serviceName(diet_profile_t*)` shape.
 #pragma once
 
 #include <functional>
@@ -40,10 +40,9 @@ class ServiceContext {
   [[nodiscard]] virtual Rng& rng() = 0;
   [[nodiscard]] SimTime now() { return env().now(); }
 
-  /// Runs `work` as the service's computation phase. Under the DES the
-  /// virtual clock advances by modeled_seconds and `work` then runs
-  /// inline at the completion event (keep it cheap there); under RealEnv
-  /// `work` runs on a worker thread for however long it takes.
+  /// Runs `work` as the service's computation phase: the virtual clock
+  /// advances by modeled_seconds and `work` then runs inline at the
+  /// completion event (keep it cheap there).
   /// `then(work_result)` continues on the dispatch context. Heavy real
   /// work starts earlier: the real-mode services start their numerics as
   /// a parallel::Job when the solve function runs and pass a `work` that

@@ -3,9 +3,9 @@
 // Every decision is drawn from a private Rng seeded by hashing the run
 // seed with the message's coordinates (endpoints, type, per-stream send
 // counter). Two runs of the same scenario therefore tamper with exactly
-// the same messages even in RealEnv, where wall-clock timing differs —
-// the decision depends only on *which* message this is, never on when it
-// was sent or what was decided before it.
+// the same messages, whatever order the calendar runs them in — the
+// decision depends only on *which* message this is, never on when it was
+// sent or what was decided before it.
 #pragma once
 
 #include <atomic>
@@ -18,8 +18,9 @@
 
 namespace gc::fault {
 
-/// Counters for the end-of-run fault summary. Atomics because RealEnv may
-/// consult the hook from multiple threads.
+/// Counters for the end-of-run fault summary. Atomics, like the mutex
+/// below, so a hook consulted off the dispatch context still counts
+/// exactly.
 struct InjectorStats {
   std::atomic<std::uint64_t> dropped{0};
   std::atomic<std::uint64_t> duplicated{0};
@@ -47,7 +48,7 @@ class Injector final : public net::FaultHook {
   const FaultPlan plan_;
   const std::uint64_t seed_;
   InjectorStats stats_;
-  mutable std::mutex mutex_;  ///< guards isolated_ (RealEnv is threaded)
+  mutable std::mutex mutex_;  ///< guards isolated_
   std::unordered_set<net::NodeId> isolated_;
 };
 

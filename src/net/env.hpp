@@ -1,11 +1,9 @@
 // Execution environment abstraction.
 //
 // All middleware components (agents, SEDs, clients) are Actors written
-// against Env; the same code runs on two backends:
-//  - SimEnv  : discrete-event simulation (virtual clock, modeled costs) —
-//              used for the Grid'5000-scale experiments;
-//  - RealEnv : std::thread dispatcher with a wall clock — used by the
-//              runnable examples, where services execute real code.
+// against Env. Its one implementation is SimEnv: the discrete-event
+// simulation (virtual clock, modeled costs) that runs every experiment,
+// with real numerics where a service computes them (see Env::execute).
 #pragma once
 
 #include <cstdint>
@@ -45,8 +43,7 @@ class Env {
  public:
   virtual ~Env() = default;
 
-  /// Current time: virtual seconds (SimEnv) or wall seconds since start
-  /// (RealEnv).
+  /// Current virtual time in seconds.
   [[nodiscard]] virtual SimTime now() const = 0;
 
   /// Runs fn after `delay` seconds on the dispatch context. The returned
@@ -56,15 +53,11 @@ class Env {
 
   /// post_after, attributed to `owner` for the DES's independence
   /// bookkeeping (see des::Strategy). An actor arming a timer chain from
-  /// outside its own dispatch context (deployment-time registration, an
-  /// application thread) passes its endpoint so the chain does not fall
-  /// into the conservatively-shared root ownership. Backends without a
-  /// scheduler seam ignore the attribution.
+  /// outside its own dispatch context (deployment-time registration, the
+  /// application's main program) passes its endpoint so the chain does
+  /// not fall into the conservatively-shared root ownership.
   virtual TimerId post_after_as(Endpoint owner, SimTime delay,
-                                des::EventFn fn) {
-    (void)owner;
-    return post_after(delay, std::move(fn));
-  }
+                                des::EventFn fn) = 0;
 
   /// Cancels a pending timer; false if it already fired or is unknown.
   virtual bool cancel_timer(TimerId id) = 0;
@@ -86,25 +79,19 @@ class Env {
   virtual void send(Envelope envelope) = 0;
 
   /// Runs `work` as a computation on `node` that occupies `modeled_seconds`
-  /// of that node's time. SimEnv advances the virtual clock and then runs
-  /// `work` inline at the completion event (services pass cheap synthetic
-  /// work in simulation; real-mode services start their numerics on the
-  /// thread pool at solve time and pass a `work` that joins them);
-  /// RealEnv runs `work` on a worker thread and takes as long as it takes.
+  /// of that node's time: the virtual clock advances and `work` then runs
+  /// inline at the completion event (services pass cheap synthetic work
+  /// in simulation; real-mode services start their numerics on the
+  /// thread pool at solve time and pass a `work` that joins them).
   /// `done(result)` is dispatched afterwards on the dispatch context.
   virtual void execute(NodeId node, double modeled_seconds,
                        std::function<int()> work,
                        std::function<void(int)> done) = 0;
 
-  [[nodiscard]] virtual bool is_simulated() const = 0;
-
-  /// Node an endpoint is attached to; 0 when unknown (detached endpoint,
-  /// or a backend without an address book). Real DIET deployments know
-  /// this from the deployment file; SimEnv answers from its attach table.
+  /// Node an endpoint is attached to. Real DIET deployments know this
+  /// from the deployment file; SimEnv answers from its attach table.
   /// Agents use it to price candidate links in the data-locality term.
-  [[nodiscard]] virtual NodeId node_of(Endpoint /*endpoint*/) const {
-    return 0;
-  }
+  [[nodiscard]] virtual NodeId node_of(Endpoint endpoint) const = 0;
 
   /// Modeled one-way time for `bytes` from `a` to `b` *as of now*: the
   /// topology's closed-form transfer_time, except under a contention model

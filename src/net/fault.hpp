@@ -1,6 +1,6 @@
-// Fault-injection seam shared by both Env backends.
+// Fault-injection seam of the Env.
 //
-// A FaultHook, when installed on a SimEnv or RealEnv, is consulted once
+// A FaultHook, when installed on a SimEnv, is consulted once
 // per send() and may drop the message, schedule a duplicate copy, or add
 // extra delivery delay — the three message-level faults of a real WAN
 // (the paper's campaign ran across five Grid'5000 sites for days; lost

@@ -57,8 +57,6 @@ class SimEnv final : public Env {
   void execute(NodeId node, double modeled_seconds, std::function<int()> work,
                std::function<void(int)> done) override;
 
-  [[nodiscard]] bool is_simulated() const override { return true; }
-
   /// Answers from the permanent attach ledger, so endpoints stay
   /// resolvable after detach (a dead SED still has a node). An endpoint
   /// that was NEVER attached is a caller bug: invariant violation in

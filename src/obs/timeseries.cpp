@@ -88,8 +88,7 @@ void TimeSeries::start_wall_sampler() {
   std::lock_guard<std::mutex> lock(thread_mutex_);
   if (worker_.joinable()) return;  // already sampling
   stop_requested_ = false;
-  // Sampling service thread (like RealEnv's dispatcher), not
-  // data-parallel work for the shared pool.
+  // Sampling service thread, not data-parallel work for the shared pool.
   worker_ = std::thread([this] {  // gclint: allow(thread) sampler backend
     sample(wall_seconds());
     std::unique_lock<std::mutex> lock(thread_mutex_);

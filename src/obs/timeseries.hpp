@@ -4,23 +4,23 @@
 // The metrics registry alone only answers "what were the totals at the end
 // of the run?". This sampler turns the registry into plottable curves: a
 // recurring tick — a DES event under SimEnv, a dedicated wall-clock thread
-// under RealEnv / env-less pipelines — snapshots every instrument into an
+// in env-less pipelines — snapshots every instrument into an
 // append-only in-memory series, exported as JSONL (one sample per line).
 // Queue depth, DES events executed, dtm bytes moved, and per-SED busy time
 // become time series instead of final numbers.
 //
 // Process-global singleton like the tracer and the registry; off by
 // default, `timeseries_on()` is one relaxed atomic load. Who drives the
-// ticks depends on the backend:
+// ticks depends on the binary:
 //
 //   - SimEnv campaigns arm a self-rearming engine event every
 //     `interval()` virtual seconds (workflow/campaign.cpp), so samples
 //     land at deterministic virtual times and the exported series is
 //     byte-identical run to run — including under --tie-seed scrambles.
-//   - RealEnv::start()/stop() (and env-less binaries like pm_simulation)
-//     drive `start_wall_sampler()` / `stop_wall_sampler()`: a thread that
-//     samples at `obs::wall_seconds()` timestamps every `interval()` wall
-//     seconds, plus once on start and once on stop.
+//   - env-less binaries (pm_simulation) drive `start_wall_sampler()` /
+//     `stop_wall_sampler()`: a thread that samples at
+//     `obs::wall_seconds()` timestamps every `interval()` wall seconds,
+//     plus once on start and once on stop.
 //
 // Export format — JSON Lines, one object per sample:
 //
@@ -75,8 +75,8 @@ class TimeSeries {
 
   /// Starts the wall-clock sampling thread (no-op when disabled or already
   /// running): one sample immediately, one every `interval()` wall
-  /// seconds, one at stop. For RealEnv runs and env-less pipelines; DES
-  /// campaigns sample from a virtual-time event instead.
+  /// seconds, one at stop. For env-less pipelines; DES campaigns sample
+  /// from a virtual-time event instead.
   void start_wall_sampler();
   /// Stops the thread (taking a final sample) and joins it. Safe to call
   /// when no sampler is running.
@@ -96,8 +96,7 @@ class TimeSeries {
   std::vector<Sample> samples_;  ///< guarded
 
   // Wall-sampler machinery. The raw thread is deliberate: this is a
-  // backend-style service thread (like RealEnv's dispatcher), not
-  // data-parallel work for the shared pool.
+  // sampling service thread, not data-parallel work for the shared pool.
   std::mutex thread_mutex_;
   std::condition_variable thread_cv_;  ///< signalled to stop early
   bool stop_requested_ = false;        ///< guarded by thread_mutex_

@@ -2,9 +2,8 @@
 //
 // The tracer is process-global and clock-agnostic: every record call takes
 // an explicit timestamp in seconds, supplied by the call site from its
-// owning `Env` (`env().now()`). Under SimEnv that is virtual time, under
-// RealEnv wall time since the env's origin — the same instrumentation code
-// yields a correct trace in both backends.
+// owning `Env` (`env().now()`), which is virtual time; env-less pipelines
+// such as the PM run pass `obs::wall_seconds()`.
 //
 // Causality is carried two ways:
 //   - span/parent ids link child spans to enclosing ones (SED "exec" under

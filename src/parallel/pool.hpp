@@ -3,7 +3,7 @@
 // The FFT pencil loops, the PM deposit/interpolation/leapfrog sweeps and
 // the GRAFIC k-space loops are all embarrassingly (or reducibly) parallel;
 // this module gives them one lazily-initialized pool instead of each
-// spinning its own threads next to RealEnv's execute threads.
+// spinning its own threads.
 //
 // Determinism contract (relied on by test_parallel and the snapshot
 // byte-identity guarantee):

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "common/log.hpp"
-#include "io/fortran.hpp"
-
 namespace gc::tree {
 
 std::vector<std::int32_t> MergerForest::roots() const {
@@ -59,21 +56,6 @@ bool MergerForest::check_invariants() const {
     }
   }
   return true;
-}
-
-MergerForest MergerForest::from_nodes(std::vector<TreeNode> nodes) {
-  MergerForest forest;
-  forest.nodes_ = std::move(nodes);
-  std::int32_t max_snapshot = -1;
-  for (const TreeNode& node : forest.nodes_) {
-    max_snapshot = std::max(max_snapshot, node.snapshot);
-  }
-  forest.by_snapshot_.assign(static_cast<std::size_t>(max_snapshot) + 1, {});
-  for (std::size_t i = 0; i < forest.nodes_.size(); ++i) {
-    forest.by_snapshot_[static_cast<std::size_t>(forest.nodes_[i].snapshot)]
-        .push_back(static_cast<std::int32_t>(i));
-  }
-  return forest;
 }
 
 MergerForest build_forest(const std::vector<halo::HaloCatalog>& catalogs) {
@@ -146,90 +128,6 @@ MergerForest build_forest(const std::vector<halo::HaloCatalog>& catalogs) {
     }
   }
   return forest;
-}
-
-gc::Status write_forest(const std::string& path, const MergerForest& forest) {
-  io::FortranWriter writer(path);
-  if (!writer.ok()) {
-    return make_error(ErrorCode::kIoError, "cannot create " + path);
-  }
-  const std::uint64_t count = forest.nodes().size();
-  auto status = writer.record_scalar(count);
-  for (const TreeNode& node : forest.nodes()) {
-    if (!status.is_ok()) break;
-    struct Row {
-      std::int32_t snapshot;
-      std::int32_t descendant;
-      std::int32_t main_progenitor;
-      std::int32_t pad;
-      std::uint64_t halo_id;
-      std::uint64_t npart;
-      double aexp, mass, x, y, z, vx, vy, vz;
-    } row{node.snapshot,
-          node.descendant,
-          node.main_progenitor,
-          0,
-          node.halo_id,
-          node.npart,
-          node.aexp,
-          node.mass,
-          node.x,
-          node.y,
-          node.z,
-          node.vx,
-          node.vy,
-          node.vz};
-    status = writer.record_scalar(row);
-    if (status.is_ok()) {
-      status = writer.record_array(std::span<const std::int32_t>(
-          node.progenitors.data(), node.progenitors.size()));
-    }
-  }
-  if (status.is_ok()) status = writer.close();
-  return status;
-}
-
-gc::Result<MergerForest> read_forest(const std::string& path) {
-  io::FortranReader reader(path);
-  if (!reader.ok()) {
-    return make_error(ErrorCode::kIoError, "cannot open " + path);
-  }
-  auto count = reader.record_scalar<std::uint64_t>();
-  if (!count.is_ok()) return count.status();
-  std::vector<TreeNode> nodes;
-  nodes.reserve(count.value());
-  for (std::uint64_t i = 0; i < count.value(); ++i) {
-    struct Row {
-      std::int32_t snapshot;
-      std::int32_t descendant;
-      std::int32_t main_progenitor;
-      std::int32_t pad;
-      std::uint64_t halo_id;
-      std::uint64_t npart;
-      double aexp, mass, x, y, z, vx, vy, vz;
-    };
-    auto row = reader.record_scalar<Row>();
-    if (!row.is_ok()) return row.status();
-    auto progs = reader.record_array<std::int32_t>();
-    if (!progs.is_ok()) return progs.status();
-    TreeNode node;
-    node.snapshot = row.value().snapshot;
-    node.descendant = row.value().descendant;
-    node.main_progenitor = row.value().main_progenitor;
-    node.halo_id = row.value().halo_id;
-    node.npart = row.value().npart;
-    node.aexp = row.value().aexp;
-    node.mass = row.value().mass;
-    node.x = row.value().x;
-    node.y = row.value().y;
-    node.z = row.value().z;
-    node.vx = row.value().vx;
-    node.vy = row.value().vy;
-    node.vz = row.value().vz;
-    node.progenitors = std::move(progs.value());
-    nodes.push_back(std::move(node));
-  }
-  return MergerForest::from_nodes(std::move(nodes));
 }
 
 }  // namespace gc::tree

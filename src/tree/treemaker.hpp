@@ -11,10 +11,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "common/status.hpp"
 #include "halo/halomaker.hpp"
 
 namespace gc::tree {
@@ -54,10 +52,6 @@ class MergerForest {
   /// Structural invariants (descendant/progenitor symmetry, time ordering).
   [[nodiscard]] bool check_invariants() const;
 
-  /// Rebuilds a forest from a node list (descendant links must be
-  /// consistent); used by the tree reader.
-  static MergerForest from_nodes(std::vector<TreeNode> nodes);
-
  private:
   friend MergerForest build_forest(const std::vector<halo::HaloCatalog>&);
   std::vector<TreeNode> nodes_;
@@ -66,9 +60,5 @@ class MergerForest {
 
 /// Builds the forest from catalogs ordered by increasing aexp.
 MergerForest build_forest(const std::vector<halo::HaloCatalog>& catalogs);
-
-/// Tree file I/O (Fortran records).
-gc::Status write_forest(const std::string& path, const MergerForest& forest);
-gc::Result<MergerForest> read_forest(const std::string& path);
 
 }  // namespace gc::tree

@@ -1,5 +1,6 @@
 // Tests for the paper-style C API (DIET_client.h / DIET_server.h veneer)
-// including the asynchronous GridRPC family.
+// including the asynchronous GridRPC family, on a SimEnv: the blocking
+// entries run the engine until what they wait for has happened.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -7,9 +8,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <set>
+#include <vector>
 
+#include "des/engine.hpp"
 #include "diet/agent.hpp"
 #include "diet/capi.hpp"
+#include "net/fault.hpp"
 #include "sched/policy.hpp"
 
 namespace {
@@ -24,51 +30,61 @@ int solve_double(diet_profile_t* pb) {
 
 int solve_fail(diet_profile_t*) { return 42; }
 
-/// One full in-process deployment usable by the C API.
-class CapiTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("gc_capi_" + std::to_string(::getpid())))
-               .string();
-    std::filesystem::create_directories(dir_);
+diet_profile_t* make_profile(const char* name, std::int32_t value) {
+  diet_profile_t* profile = diet_profile_alloc(name, 0, 0, 1);
+  diet_scalar_set(diet_parameter(profile, 0), &value, DIET_VOLATILE,
+                  DIET_INT);
+  // OUT declared without value.
+  diet_parameter(profile, 1)->desc.type = gc::diet::DataType::kScalar;
+  diet_parameter(profile, 1)->desc.base = gc::diet::BaseType::kInt;
+  return profile;
+}
 
-    topology_ = std::make_unique<gc::net::UniformTopology>(1e-4, 1e9);
-    env_ = std::make_unique<gc::net::RealEnv>(*topology_);
-    registry_ = std::make_unique<gc::naming::Registry>();
-    gc::diet::capi::bind_process(*env_, *registry_, 0);
+/// One full in-process deployment bound to the C API: MA and LA on a
+/// SimEnv, plus one SED once register_services() ran diet_SeD.
+struct CapiWorld {
+  CapiWorld()
+      : dir((std::filesystem::temp_directory_path() /
+             ("gc_capi_" + std::to_string(::getpid())))
+                .string()),
+        topology(1e-4, 1e9),
+        env(engine, topology) {
+    std::filesystem::create_directories(dir);
+    gc::diet::capi::bind_process(env, registry, 0);
 
-    ma_ = std::make_unique<gc::diet::Agent>(
+    ma = std::make_unique<gc::diet::Agent>(
         gc::diet::Agent::Kind::kMaster, "MA1",
         gc::sched::make_default_policy(), gc::diet::AgentTuning{}, 1);
-    env_->attach(*ma_, 1);
-    registry_->rebind("MA1", ma_->endpoint());
-    la_ = std::make_unique<gc::diet::Agent>(
+    env.attach(*ma, 1);
+    registry.rebind("MA1", ma->endpoint());
+    la = std::make_unique<gc::diet::Agent>(
         gc::diet::Agent::Kind::kLocal, "LA1",
         gc::sched::make_default_policy(), gc::diet::AgentTuning{}, 2);
-    env_->attach(*la_, 2);
-    registry_->rebind("LA1", la_->endpoint());
-    la_->register_at(ma_->endpoint());
+    env.attach(*la, 2);
+    registry.rebind("LA1", la->endpoint());
+    la->register_at(ma->endpoint());
 
-    sed_cfg_ = dir_ + "/sed.cfg";
-    std::ofstream(sed_cfg_) << "parentName = LA1\nname = SeD-capi\n"
-                               "nodeId = 3\nhostPower = 1.0\nmachines = 1\n";
-    client_cfg_ = dir_ + "/client.cfg";
-    std::ofstream(client_cfg_) << "MAName = MA1\n";
-
-    // Registration messages are already queued; run the dispatcher so
-    // tests that never call diet_initialize/diet_SeD still drain them.
-    env_->start();
+    sed_cfg = dir + "/sed.cfg";
+    std::ofstream(sed_cfg) << "parentName = LA1\nname = SeD-capi\n"
+                              "nodeId = 3\nhostPower = 1.0\nmachines = 1\n";
+    client_cfg = dir + "/client.cfg";
+    std::ofstream(client_cfg) << "MAName = MA1\n";
   }
 
-  void TearDown() override {
+  ~CapiWorld() {
     diet_finalize();
-    env_->stop();
     gc::diet::capi::unbind_process();
-    std::filesystem::remove_all(dir_);
+    std::filesystem::remove_all(dir);
   }
 
   void register_services() {
+    add_services();
+    launch_sed();
+  }
+
+  /// The service table behind register_services(): "double" and
+  /// "always_fails".
+  void add_services() {
     diet_service_table_init(4);
     diet_profile_desc_t* desc = diet_profile_desc_alloc("double", 0, 0, 1);
     diet_generic_desc_set(diet_parameter(desc, 0), DIET_SCALAR, DIET_INT);
@@ -81,41 +97,38 @@ class CapiTest : public ::testing::Test {
     ASSERT_EQ(diet_service_table_add(fail_desc, nullptr, solve_fail), 0);
     diet_profile_desc_free(desc);
     diet_profile_desc_free(fail_desc);
-    ASSERT_EQ(diet_SeD(sed_cfg_.c_str(), 0, nullptr), 0);
   }
 
-  diet_profile_t* make_profile(const char* name, std::int32_t value) {
-    diet_profile_t* profile = diet_profile_alloc(name, 0, 0, 1);
-    diet_scalar_set(diet_parameter(profile, 0), &value, DIET_VOLATILE,
-                    DIET_INT);
-    // OUT declared without value.
-    diet_parameter(profile, 1)->desc.type = gc::diet::DataType::kScalar;
-    diet_parameter(profile, 1)->desc.base = gc::diet::BaseType::kInt;
-    return profile;
-  }
+  void launch_sed() { ASSERT_EQ(diet_SeD(sed_cfg.c_str(), 0, nullptr), 0); }
 
-  std::string dir_;
-  std::string sed_cfg_;
-  std::string client_cfg_;
-  std::unique_ptr<gc::net::UniformTopology> topology_;
-  std::unique_ptr<gc::net::RealEnv> env_;
-  std::unique_ptr<gc::naming::Registry> registry_;
-  std::unique_ptr<gc::diet::Agent> ma_;
-  std::unique_ptr<gc::diet::Agent> la_;
+  std::string dir;
+  std::string sed_cfg;
+  std::string client_cfg;
+  gc::des::Engine engine;
+  gc::net::UniformTopology topology;
+  gc::net::SimEnv env;
+  gc::naming::Registry registry;
+  std::unique_ptr<gc::diet::Agent> ma;
+  std::unique_ptr<gc::diet::Agent> la;
+};
+
+class CapiTest : public ::testing::Test {
+ protected:
+  CapiWorld w_;
 };
 
 TEST_F(CapiTest, InitializeRequiresValidConfig) {
   EXPECT_NE(diet_initialize("/nonexistent.cfg", 0, nullptr), 0);
-  const std::string bad = dir_ + "/bad.cfg";
+  const std::string bad = w_.dir + "/bad.cfg";
   std::ofstream(bad) << "MAName = NoSuchMA\n";
   EXPECT_NE(diet_initialize(bad.c_str(), 0, nullptr), 0);
-  EXPECT_EQ(diet_initialize(client_cfg_.c_str(), 0, nullptr), 0);
+  EXPECT_EQ(diet_initialize(w_.client_cfg.c_str(), 0, nullptr), 0);
 }
 
 TEST_F(CapiTest, SynchronousCallRoundtrip) {
-  register_services();
-  ASSERT_EQ(diet_initialize(client_cfg_.c_str(), 0, nullptr), 0);
-  env_->wait_idle();
+  w_.register_services();
+  ASSERT_EQ(diet_initialize(w_.client_cfg.c_str(), 0, nullptr), 0);
+  w_.engine.run();
 
   diet_profile_t* profile = make_profile("double", 21);
   ASSERT_EQ(diet_call(profile), 0);
@@ -126,18 +139,18 @@ TEST_F(CapiTest, SynchronousCallRoundtrip) {
 }
 
 TEST_F(CapiTest, FailingSolveSurfacesError) {
-  register_services();
-  ASSERT_EQ(diet_initialize(client_cfg_.c_str(), 0, nullptr), 0);
-  env_->wait_idle();
+  w_.register_services();
+  ASSERT_EQ(diet_initialize(w_.client_cfg.c_str(), 0, nullptr), 0);
+  w_.engine.run();
   diet_profile_t* profile = make_profile("always_fails", 1);
   EXPECT_NE(diet_call(profile), 0);
   diet_profile_free(profile);
 }
 
 TEST_F(CapiTest, GrpcAliasesWork) {
-  register_services();
-  ASSERT_EQ(grpc_initialize(client_cfg_.c_str()), 0);
-  env_->wait_idle();
+  w_.register_services();
+  ASSERT_EQ(grpc_initialize(w_.client_cfg.c_str()), 0);
+  w_.engine.run();
   diet_profile_t* profile = make_profile("double", 5);
   ASSERT_EQ(grpc_call(profile), 0);
   const std::int32_t* result = nullptr;
@@ -148,14 +161,15 @@ TEST_F(CapiTest, GrpcAliasesWork) {
 }
 
 TEST_F(CapiTest, AsyncCallAndWait) {
-  register_services();
-  ASSERT_EQ(diet_initialize(client_cfg_.c_str(), 0, nullptr), 0);
-  env_->wait_idle();
+  w_.register_services();
+  ASSERT_EQ(diet_initialize(w_.client_cfg.c_str(), 0, nullptr), 0);
+  w_.engine.run();
 
   diet_profile_t* profile = make_profile("double", 100);
   diet_reqID_t id = 0;
   ASSERT_EQ(diet_call_async(profile, &id), 0);
   EXPECT_GT(id, 0u);
+  EXPECT_EQ(diet_probe(id), 1);  // submitted, engine not yet run
   EXPECT_EQ(diet_wait(id), 0);
   EXPECT_EQ(diet_probe(id), 0);  // completed
   const std::int32_t* result = nullptr;
@@ -163,15 +177,16 @@ TEST_F(CapiTest, AsyncCallAndWait) {
   EXPECT_EQ(*result, 200);
   EXPECT_EQ(diet_cancel(id), 0);
   EXPECT_EQ(diet_probe(id), -1);  // forgotten
+  EXPECT_EQ(diet_wait(id), -1);
   diet_profile_free(profile);
 }
 
 TEST_F(CapiTest, AsyncBurstWaitAll) {
   // The paper's client pattern: "he requests simultaneously 100
   // sub-simulations" — here a burst of 8 async calls + wait_all.
-  register_services();
-  ASSERT_EQ(diet_initialize(client_cfg_.c_str(), 0, nullptr), 0);
-  env_->wait_idle();
+  w_.register_services();
+  ASSERT_EQ(diet_initialize(w_.client_cfg.c_str(), 0, nullptr), 0);
+  w_.engine.run();
 
   std::vector<diet_profile_t*> profiles;
   std::vector<diet_reqID_t> ids;
@@ -192,26 +207,28 @@ TEST_F(CapiTest, AsyncBurstWaitAll) {
 }
 
 TEST_F(CapiTest, WaitAnyReturnsACompletedRequest) {
-  register_services();
-  ASSERT_EQ(diet_initialize(client_cfg_.c_str(), 0, nullptr), 0);
-  env_->wait_idle();
+  w_.register_services();
+  ASSERT_EQ(diet_initialize(w_.client_cfg.c_str(), 0, nullptr), 0);
+  w_.engine.run();
 
+  diet_reqID_t winner = 0;
+  EXPECT_EQ(diet_wait_any(&winner), -1);  // nothing outstanding
   diet_profile_t* a = make_profile("double", 1);
   diet_profile_t* b = make_profile("double", 2);
   diet_reqID_t id_a = 0;
   diet_reqID_t id_b = 0;
   ASSERT_EQ(diet_call_async(a, &id_a), 0);
   ASSERT_EQ(diet_call_async(b, &id_b), 0);
-  diet_reqID_t winner = 0;
   EXPECT_EQ(diet_wait_any(&winner), 0);
   EXPECT_TRUE(winner == id_a || winner == id_b);
+  EXPECT_EQ(diet_probe(winner), 0);
   EXPECT_EQ(diet_wait_all(), 0);
   diet_profile_free(a);
   diet_profile_free(b);
 }
 
 TEST_F(CapiTest, ServiceTablePrintsAndRejectsDuplicates) {
-  register_services();
+  w_.register_services();
   diet_print_service_table();
   diet_profile_desc_t* dup = diet_profile_desc_alloc("double", 0, 0, 1);
   diet_generic_desc_set(diet_parameter(dup, 0), DIET_SCALAR, DIET_INT);
@@ -232,10 +249,10 @@ TEST_F(CapiTest, FreeDataClearsValue) {
 }
 
 TEST_F(CapiTest, FileArgumentsThroughCApi) {
-  register_services();
-  ASSERT_EQ(diet_initialize(client_cfg_.c_str(), 0, nullptr), 0);
+  w_.register_services();
+  ASSERT_EQ(diet_initialize(w_.client_cfg.c_str(), 0, nullptr), 0);
 
-  const std::string payload = dir_ + "/input.bin";
+  const std::string payload = w_.dir + "/input.bin";
   std::ofstream(payload) << std::string(2048, 'z');
 
   diet_profile_t* profile = diet_profile_alloc("unused", 0, 0, 1);
@@ -254,6 +271,115 @@ TEST_F(CapiTest, FileArgumentsThroughCApi) {
             0);
   EXPECT_FALSE(diet_parameter(profile, 1)->has_value());
   diet_profile_free(profile);
+}
+
+// ---------- what the engine-driven client adds ----------
+
+/// Drops every message: the hierarchy goes silent.
+struct DropAll final : gc::net::FaultHook {
+  gc::net::FaultDecision on_message(gc::SimTime, gc::net::NodeId,
+                                    gc::net::NodeId, const gc::net::Envelope&,
+                                    std::uint64_t) override {
+    gc::net::FaultDecision decision;
+    decision.drop = true;
+    return decision;
+  }
+};
+
+TEST_F(CapiTest, CallFailsWhenTheCalendarEmptiesFirst) {
+  w_.register_services();
+  ASSERT_EQ(diet_initialize(w_.client_cfg.c_str(), 0, nullptr), 0);
+  w_.engine.run();
+  DropAll drop_all;
+  w_.env.set_fault_hook(&drop_all);
+
+  // No deadline and no retries: once the submit is dropped nothing is
+  // left to run, and the call must come back instead of waiting forever.
+  diet_profile_t* profile = make_profile("double", 21);
+  EXPECT_EQ(diet_call(profile), 1);
+  EXPECT_EQ(w_.engine.events_pending(), 0u);
+  diet_reqID_t id = 0;
+  ASSERT_EQ(diet_call_async(profile, &id), 0);
+  EXPECT_EQ(diet_wait(id), 1);
+  EXPECT_EQ(diet_wait_all(), 1);
+  diet_reqID_t winner = 0;
+  EXPECT_EQ(diet_wait_any(&winner), -1);
+  w_.env.set_fault_hook(nullptr);
+  diet_profile_free(profile);
+}
+
+gc::des::Engine* g_nested_engine = nullptr;
+int g_nested_rc = -2;
+std::uint64_t g_nested_events = 0;
+
+/// A solve function that is itself a client: its diet_call runs inside
+/// the SED's completion event.
+int solve_nested(diet_profile_t* pb) {
+  diet_profile_t* inner = make_profile("double", 4);
+  const std::uint64_t before = g_nested_engine->events_executed();
+  g_nested_rc = diet_call(inner);
+  g_nested_events = g_nested_engine->events_executed() - before;
+  diet_profile_free(inner);
+  const std::int32_t out = 7;
+  diet_scalar_set(diet_parameter(pb, 1), &out, DIET_VOLATILE, DIET_INT);
+  return 0;
+}
+
+TEST_F(CapiTest, CallFromInsideASolveFailsAndTheOuterCallCompletes) {
+  w_.add_services();
+  diet_profile_desc_t* desc = diet_profile_desc_alloc("nested", 0, 0, 1);
+  diet_generic_desc_set(diet_parameter(desc, 0), DIET_SCALAR, DIET_INT);
+  diet_generic_desc_set(diet_parameter(desc, 1), DIET_SCALAR, DIET_INT);
+  ASSERT_EQ(diet_service_table_add(desc, nullptr, solve_nested), 0);
+  diet_profile_desc_free(desc);
+  w_.launch_sed();
+  ASSERT_EQ(diet_initialize(w_.client_cfg.c_str(), 0, nullptr), 0);
+  w_.engine.run();
+
+  g_nested_engine = &w_.engine;
+  g_nested_rc = -2;
+  diet_profile_t* profile = make_profile("nested", 1);
+  EXPECT_EQ(diet_call(profile), 0);
+  EXPECT_EQ(g_nested_rc, 1) << "the inner diet_call did not fail";
+  EXPECT_EQ(g_nested_events, 0u) << "the inner diet_call ran the engine";
+  const std::int32_t* result = nullptr;
+  ASSERT_EQ(diet_scalar_get(diet_parameter(profile, 1), &result, nullptr), 0);
+  EXPECT_EQ(*result, 7);
+  diet_profile_free(profile);
+  g_nested_engine = nullptr;
+}
+
+/// Submits a burst of `n` calls and drains it with diet_wait_any,
+/// forgetting each winner; returns the winners in order.
+std::vector<diet_reqID_t> wait_any_order(int n) {
+  CapiWorld world;
+  world.register_services();
+  EXPECT_EQ(diet_initialize(world.client_cfg.c_str(), 0, nullptr), 0);
+  std::vector<diet_profile_t*> profiles;
+  for (int i = 0; i < n; ++i) {
+    profiles.push_back(make_profile(i % 3 == 2 ? "always_fails" : "double",
+                                    i));
+    diet_reqID_t id = 0;
+    EXPECT_EQ(diet_call_async(profiles.back(), &id), 0);
+  }
+  std::vector<diet_reqID_t> order;
+  for (int i = 0; i < n; ++i) {
+    diet_reqID_t winner = 0;
+    EXPECT_NE(diet_wait_any(&winner), -1);
+    order.push_back(winner);
+    EXPECT_EQ(diet_cancel(winner), 0);
+  }
+  for (diet_profile_t* p : profiles) diet_profile_free(p);
+  return order;
+}
+
+TEST(CapiWaitAny, SameBurstSameWinners) {
+  const std::vector<diet_reqID_t> first = wait_any_order(9);
+  ASSERT_EQ(first.size(), 9u);
+  EXPECT_EQ(std::set<diet_reqID_t>(first.begin(), first.end()).size(), 9u);
+  for (int run = 0; run < 2; ++run) {
+    EXPECT_EQ(wait_any_order(9), first) << "run " << run + 2;
+  }
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "des/engine.hpp"
 #include "diet/agent.hpp"
 #include "diet/sed.hpp"
-#include "net/realenv.hpp"
 #include "net/simenv.hpp"
 #include "sched/policy.hpp"
 
@@ -190,21 +189,6 @@ TEST(Invariant, EngineCatchesSchedulingIntoThePast) {
   engine.schedule_at(0.5, [] {});  // behind the virtual clock
   EXPECT_EQ(capture.count(), 1u);
   EXPECT_TRUE(capture.saw("past"));
-}
-
-// ---------- RealEnv ----------
-
-TEST(Invariant, RealEnvCatchesPostAfterStop) {
-  net::UniformTopology topology(0.0, 1e9);
-  net::RealEnv env(topology);
-  env.start();
-  env.post_after(0.0, [] {});
-  env.wait_idle();
-  env.stop();
-  Capture capture;
-  env.post_after(0.0, [] {});  // the seeded violation
-  EXPECT_EQ(capture.count(), 1u);
-  EXPECT_TRUE(capture.saw("stop"));
 }
 
 // ---------- DIET actors ----------

@@ -608,6 +608,133 @@ TEST(CodecCorrupt, HugeArgumentMarkerFailsTheReader) {
   EXPECT_FALSE(r.ok());
 }
 
+// A call's markers are checked against the service before a profile is
+// sized from them: an overflowing last_out used to throw
+// std::length_error, and out-of-order markers tripped the Profile
+// constructor's check, either way taking the SED down.
+diet::ProfileDesc int_service() {
+  diet::ProfileDesc desc("svc", 0, 0, 1);
+  desc.arg(0).type = diet::DataType::kScalar;
+  desc.arg(0).base = diet::BaseType::kInt;
+  desc.arg(1).type = diet::DataType::kScalar;
+  desc.arg(1).base = diet::BaseType::kInt;
+  return desc;
+}
+
+net::Bytes int_inputs(std::int32_t value) {
+  diet::Profile profile("svc", 0, 0, 1);
+  profile.arg(0).set_scalar<std::int32_t>(value, diet::BaseType::kInt,
+                                          diet::Persistence::kVolatile);
+  net::Writer w;
+  profile.serialize_inputs(w);
+  return w.take();
+}
+
+TEST(CodecCorrupt, CallMarkersNotTheServicesFailSoft) {
+  const diet::ProfileDesc service = int_service();
+  const net::Bytes inputs = int_inputs(5);
+  const std::tuple<int, int, int> markers[] = {
+      {-1, -1, std::numeric_limits<std::int32_t>::max()},  // overflows
+      {1, 0, 2},  // last_in > last_inout
+      {0, 0, 2},  // well formed, but not the service's
+  };
+  for (const auto& [in, inout, out] : markers) {
+    net::Reader r(inputs);
+    gc::Result<diet::Profile> profile = make_error(ErrorCode::kInternal, "");
+    ASSERT_NO_THROW(profile = diet::Profile::deserialize_inputs(
+                        service, in, inout, out, r));
+    EXPECT_FALSE(profile.is_ok()) << in << "," << inout << "," << out;
+  }
+  net::Reader r(inputs);
+  auto good = diet::Profile::deserialize_inputs(service, 0, 0, 1, r);
+  ASSERT_TRUE(good.is_ok()) << good.status().to_string();
+  EXPECT_EQ(good.value().arg(0).get_scalar<std::int32_t>().value(), 5);
+}
+
+TEST(CodecCorrupt, TruncatedCallDataFailsSoft) {
+  const diet::ProfileDesc service = int_service();
+  const net::Bytes inputs = int_inputs(5);
+  for (std::size_t cut = 0; cut < inputs.size(); ++cut) {
+    const net::Bytes shorter(inputs.begin(),
+                             inputs.begin() + static_cast<std::ptrdiff_t>(cut));
+    net::Reader r(shorter);
+    EXPECT_FALSE(
+        diet::Profile::deserialize_inputs(service, 0, 0, 1, r).is_ok())
+        << "cut at " << cut;
+  }
+}
+
+struct ResultRecorder final : net::Actor {
+  std::vector<diet::CallResultMsg> results;
+  void on_message(const net::Envelope& envelope) override {
+    if (envelope.type == diet::kCallResult) {
+      results.push_back(diet::CallResultMsg::decode(envelope.payload));
+    }
+  }
+};
+
+TEST(SedCallData, CorruptCallIsRejectedAndTheNextCallRuns) {
+  des::Engine engine;
+  net::UniformTopology topology(1e-3, 1e9);
+  net::SimEnv env(engine, topology);
+  diet::ServiceTable services;
+  ASSERT_TRUE(services
+                  .add_sync(int_service(),
+                            [](diet::Profile& p) {
+                              const auto in =
+                                  p.arg(0).get_scalar<std::int32_t>();
+                              p.arg(1).set_scalar<std::int32_t>(
+                                  in.value() * 2, diet::BaseType::kInt,
+                                  diet::Persistence::kVolatile);
+                              return 0;
+                            })
+                  .is_ok());
+  diet::Sed sed(1, "s1", services, 1.0, 1, diet::SedTuning{}, 7);
+  ResultRecorder client;
+  env.attach(sed, 0);
+  env.attach(client, 1);
+
+  auto send_call = [&](std::uint64_t id, int in, int inout, int out,
+                       net::Bytes inputs) {
+    diet::CallDataMsg msg;
+    msg.call_id = id;
+    msg.path = "svc";
+    msg.last_in = in;
+    msg.last_inout = inout;
+    msg.last_out = out;
+    msg.inputs = std::move(inputs);
+    env.send(net::Envelope{client.endpoint(), sed.endpoint(),
+                           diet::kCallData, msg.encode(), 0, id});
+    engine.run();
+  };
+  send_call(1, -1, -1, std::numeric_limits<std::int32_t>::max(), {});
+  send_call(2, 1, 0, 2, int_inputs(5));
+  net::Bytes truncated = int_inputs(5);
+  truncated.resize(truncated.size() - 1);
+  send_call(3, 0, 0, 1, truncated);
+  ASSERT_EQ(client.results.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(client.results[i].call_id, i + 1);
+    EXPECT_EQ(client.results[i].solve_status, -1);
+  }
+  EXPECT_EQ(sed.jobs_completed(), 0u);
+
+  // The rejected id was un-journalled: its well-formed resend runs, and
+  // so does a new call.
+  send_call(3, 0, 0, 1, int_inputs(5));
+  send_call(4, 0, 0, 1, int_inputs(21));
+  ASSERT_EQ(client.results.size(), 5u);
+  EXPECT_EQ(sed.jobs_completed(), 2u);
+  for (std::size_t i = 3; i < 5; ++i) {
+    EXPECT_EQ(client.results[i].solve_status, 0);
+    diet::Profile out("svc", 0, 0, 1);
+    net::Reader r(client.results[i].outputs);
+    out.merge_outputs(r);
+    EXPECT_EQ(out.arg(1).get_scalar<std::int32_t>().value(),
+              i == 3 ? 10 : 42);
+  }
+}
+
 // ---------- in-place candidate intake ----------
 
 /// A straightforward whole-list decoder, kept as the reference

@@ -234,7 +234,8 @@ TEST(Profile, InputsSerializeToCalleeAndBack) {
   net::Writer writer;
   caller.serialize_inputs(writer);
   net::Reader reader(writer.data());
-  Profile callee = Profile::deserialize_inputs("svc", 2, 3, 5, reader);
+  Profile callee =
+      Profile::deserialize_inputs(caller.desc(), 2, 3, 5, reader).value();
 
   EXPECT_EQ(callee.arg(0).get_scalar<std::int32_t>().value(), 42);
   EXPECT_EQ(callee.arg(1).get_string().value(), "params");

@@ -213,8 +213,8 @@ TEST(Gclint, AllowsHotStringOutsideHotPath) {
   EXPECT_TRUE(lint_one("src/diet/agent.cpp",
                        "void f(int t) { s = std::to_string(t); }\n")
                   .empty());
-  // net/ files other than simenv.cpp (e.g. realenv.cpp) are out of scope.
-  EXPECT_TRUE(lint_one("src/net/realenv.cpp",
+  // net/ files other than simenv.cpp (e.g. flow.cpp) are out of scope.
+  EXPECT_TRUE(lint_one("src/net/flow.cpp",
                        "void f(int t) { s = std::to_string(t); }\n")
                   .empty());
 }

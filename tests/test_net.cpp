@@ -1,4 +1,4 @@
-// Tests for the message layer: codec, envelopes, SimEnv, RealEnv.
+// Tests for the message layer: codec, envelopes, SimEnv.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,7 +8,6 @@
 #include "common/rng.hpp"
 #include "des/engine.hpp"
 #include "net/codec.hpp"
-#include "net/realenv.hpp"
 #include "net/simenv.hpp"
 
 namespace gc::net {
@@ -281,80 +280,6 @@ TEST(SimEnv, MoveOnlyTimerFiresAndCancelReleasesCaptureAtOnce) {
   EXPECT_TRUE(released.load()) << "cancel_timer kept the capture alive";
   engine.run();
   EXPECT_EQ(fired, 7);
-}
-
-TEST(RealEnv, MoveOnlyTimerFires) {
-  UniformTopology topology(0.0, 1e9);
-  RealEnv env(topology);
-  env.start();
-  std::atomic<int> fired{0};
-  env.post_after(0.0, [&fired, value = std::make_unique<int>(7)] {
-    fired = *value;
-  });
-  env.wait_idle();
-  EXPECT_EQ(fired.load(), 7);
-  env.stop();
-}
-
-// ---------- RealEnv ----------
-
-TEST(RealEnv, PostAfterRuns) {
-  UniformTopology topology(0.0, 1e9);
-  RealEnv env(topology);
-  env.start();
-  std::atomic<int> fired{0};
-  env.post_after(0.0, [&] { fired = 1; });
-  env.wait_idle();
-  EXPECT_EQ(fired.load(), 1);
-  env.stop();
-}
-
-TEST(RealEnv, SendBetweenActors) {
-  UniformTopology topology(0.0, 1e9);
-  RealEnv env(topology);
-  Echo a;
-  Echo b;
-  env.attach(a, 0);
-  env.attach(b, 1);
-  env.start();
-  env.send(Envelope{a.endpoint(), b.endpoint(), 9, Bytes{1, 2}, 0});
-  env.wait_idle();
-  ASSERT_EQ(b.received.size(), 1u);
-  EXPECT_EQ(b.received[0].type, 9u);
-  env.stop();
-}
-
-TEST(RealEnv, ExecuteRunsRealWork) {
-  UniformTopology topology(0.0, 1e9);
-  RealEnv env(topology);
-  env.start();
-  std::atomic<int> result{0};
-  env.execute(0, 0.0, [] { return 6 * 7; },
-              [&](int r) { result = r; });
-  env.wait_idle();
-  EXPECT_EQ(result.load(), 42);
-  env.stop();
-}
-
-TEST(RealEnv, StopIsIdempotent) {
-  UniformTopology topology(0.0, 1e9);
-  RealEnv env(topology);
-  env.start();
-  env.stop();
-  env.stop();
-  SUCCEED();
-}
-
-TEST(RealEnv, ClockAdvances) {
-  UniformTopology topology(0.0, 1e9);
-  RealEnv env(topology);
-  env.start();
-  const SimTime t0 = env.now();
-  std::atomic<double> fired_at{-1.0};
-  env.post_after(0.02, [&] { fired_at = env.now(); });
-  env.wait_idle();
-  EXPECT_GE(fired_at.load(), t0 + 0.019);
-  env.stop();
 }
 
 }  // namespace

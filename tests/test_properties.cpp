@@ -72,9 +72,11 @@ TEST_P(Seeded, ProfileInputsRoundtripAnyShape) {
     net::Writer writer;
     original.serialize_inputs(writer);
     net::Reader reader(writer.data());
-    const diet::Profile back = diet::Profile::deserialize_inputs(
-        original.path(), original.last_in(), original.last_inout(),
-        original.last_out(), reader);
+    const diet::Profile back =
+        diet::Profile::deserialize_inputs(
+            original.desc(), original.last_in(), original.last_inout(),
+            original.last_out(), reader)
+            .value();
     ASSERT_TRUE(reader.done());
     ASSERT_EQ(back.arg_count(), original.arg_count());
     for (int i = 0; i <= original.last_inout(); ++i) {

@@ -1,10 +1,6 @@
 // Tests for TreeMaker (merger trees).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <filesystem>
-
 #include "halo/halomaker.hpp"
 #include "tree/treemaker.hpp"
 
@@ -132,34 +128,6 @@ TEST(TreeMaker, CarriesHaloProperties) {
   EXPECT_DOUBLE_EQ(node.mass, 2.5);
   EXPECT_DOUBLE_EQ(node.x, 0.1);
   EXPECT_DOUBLE_EQ(node.vx, 100.0);
-}
-
-TEST(TreeMaker, ForestIoRoundtrip) {
-  std::vector<halo::HaloCatalog> catalogs = {
-      make_catalog(0.5, {make_halo(1, 2.0, {1, 2, 3, 4}),
-                         make_halo(2, 1.0, {9, 10, 11})}),
-      make_catalog(1.0, {make_halo(1, 3.2, {1, 2, 3, 4, 9, 10, 11})}),
-  };
-  const MergerForest forest = build_forest(catalogs);
-
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("gc_tree_" + std::to_string(::getpid()) + ".bin"))
-          .string();
-  ASSERT_TRUE(write_forest(path, forest).is_ok());
-  auto back = read_forest(path);
-  ASSERT_TRUE(back.is_ok());
-  ASSERT_EQ(back.value().nodes().size(), forest.nodes().size());
-  EXPECT_TRUE(back.value().check_invariants());
-  EXPECT_EQ(back.value().merger_count(), 1u);
-  for (std::size_t i = 0; i < forest.nodes().size(); ++i) {
-    EXPECT_EQ(back.value().nodes()[i].halo_id, forest.nodes()[i].halo_id);
-    EXPECT_EQ(back.value().nodes()[i].descendant,
-              forest.nodes()[i].descendant);
-    EXPECT_EQ(back.value().nodes()[i].progenitors,
-              forest.nodes()[i].progenitors);
-  }
-  std::filesystem::remove(path);
 }
 
 TEST(TreeMaker, LongChainWithBranching) {

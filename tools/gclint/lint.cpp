@@ -411,8 +411,8 @@ void check_thread(const Prepared& file, std::vector<Finding>& findings) {
 // model checker (src/mc), which owns the virtual clock and explores one
 // dispatch at a time — a host-time sleep or an open-ended wait there
 // either stalls exploration or hides an ordering behind real time where
-// the checker cannot permute it. Timer work belongs on Env::post_after;
-// the few legitimate RealEnv-only blocking paths carry a suppression.
+// the checker cannot permute it. Timer work belongs on Env::post_after,
+// and a caller that must wait runs the engine until its event happened.
 
 /// future<T>::get blocks until the value exists; only identifiers that
 /// look like futures are flagged (smart-pointer .get() is everywhere): a

@@ -35,8 +35,7 @@
 //                    semaphore .acquire()) in src/diet/ or src/dtm/ — the
 //                    model checker (src/mc) drives those layers one
 //                    dispatch at a time on a virtual clock and cannot
-//                    explore past a host-time wait; RealEnv-only blocking
-//                    paths carry a gclint: allow
+//                    explore past a host-time wait
 #pragma once
 
 #include <string>
